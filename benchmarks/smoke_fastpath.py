@@ -4,9 +4,8 @@
 Runs the reduced E10 sweep (seconds), asserts the savings — reliable-mode
 acks/post with coalescing on at most half of coalescing off, total
 msgs/post down at least 25% at drop=0, piggybacked acks on reverse
-traffic, group-commit cutting journal commit units at equal appends —
-plus same-seed determinism, and emits ``BENCH_fastpath.json`` at the
-repo root.
+traffic, one journal commit per durable fan-out — plus same-seed
+determinism, and emits ``BENCH_fastpath.json`` at the repo root.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_fastpath.py
 """
@@ -32,7 +31,7 @@ from repro.bench.harness import emit_json  # noqa: E402
 def main() -> None:
     spec = FastpathSpec(seed=5, posts=200, burst=4)
     table, results = run_fastpath_sweep(spec)
-    assert_fastpath_shape(results)
+    assert_fastpath_shape(results, spec.group_size)
     probe = FastpathSpec(seed=31, posts=80, burst=4)
     first = deterministic_view(run_burst(probe, fastpath=True,
                                          bidirectional=True))

@@ -3,10 +3,11 @@ per-peer retransmit timers, journal group-commit and scheduler heap
 compaction buy, measured the paper's way — messages per post — plus the
 simulator-level costs (heap events per post, wall-clock posts/sec).
 
-Three workloads, each run with the fast path **on** (the defaults:
-``ack_delay`` > 0, ``ack_piggyback``, ``journal_group_commit``) and
-**off** (ack every arrival on a dedicated envelope, one journal commit
-per record — the PR 2/PR 3 behaviour):
+Three workloads, each run with ack coalescing **on** (the default
+``ack_delay`` > 0, so a pending ack can also piggyback) and **off**
+(``ack_delay=0``: every arrival acked at once on a dedicated envelope,
+as the reliable channel first did). Journal group-commit has no off switch: both rows
+commit each fan-out once:
 
 * ``burst`` — node 0 raises object events at node 1 in bursts of B. One
   cumulative ack retires the whole burst, so msgs/post drops from 2
@@ -15,8 +16,8 @@ per record — the PR 2/PR 3 behaviour):
   the ack window; pending acks ride the reverse data envelopes
   (``acks_piggybacked``) instead of dedicated ``rel.ack`` messages.
 * ``durable-fanout`` — durable group-target posts; each fan-out journals
-  its member records as one group commit, so journal commits/post falls
-  by the group size while appends stay identical.
+  its member records as one group commit, so journal commits fall short
+  of appends by ``group_size - 1`` per fan-out.
 
 Delivery semantics are identical on and off — every row asserts the
 exact execution counts — and everything deterministic is returned
@@ -33,10 +34,8 @@ from typing import Any
 from repro.bench.harness import Table
 from repro.bench.workloads import EventSink, StormTarget, build_cluster
 
-FAST_ON = {"ack_delay": 1e-3, "ack_piggyback": True,
-           "journal_group_commit": True}
-FAST_OFF = {"ack_delay": 0.0, "ack_piggyback": False,
-            "journal_group_commit": False}
+FAST_ON = {"ack_delay": 1e-3}
+FAST_OFF = {"ack_delay": 0.0}
 
 
 @dataclass
@@ -203,7 +202,8 @@ def run_fastpath_sweep(
                       row["acks_coalesced"], row["sim_events_per_post"],
                       row["commits_per_post"], row["wall_posts_per_sec"])
     table.note("fastpath=off: ack every arrival on a dedicated rel.ack "
-               "envelope, one journal commit per record (PR 2/3 behaviour)")
+               "envelope (ack_delay=0); both modes "
+               "group-commit journal fan-outs")
     table.note("delivery semantics asserted identical on/off in every "
                "cell; wall_posts/s is host wall-clock, all other columns "
                "are deterministic")

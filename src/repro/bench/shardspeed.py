@@ -3,22 +3,18 @@
 PR 8's sharded backend proved determinism at 128 nodes but paid for it
 in pickling (one ``pickle.dumps`` per cross-shard message) and barrier
 round-trips (one parent↔worker exchange per conservative window, busy
-or not).  This experiment measures the speed campaign that removed
-both costs, plus the journal slab/checkpoint work on the durable path:
+or not).  The speed campaign replaced both with the compact wire codec,
+one encoded blob per (shard, window), quiescent skip-ahead and the fork
+start method; those are now the only sharded protocol.  This experiment
+measures it, plus the journal slab/checkpoint work on the durable path:
 
-* **sharded pairs** — each (nodes, shards) point runs twice: once with
-  the new defaults (compact wire codec, one encoded blob per
-  (shard, window), quiescent skip-ahead, fork start method) and once
-  with every knob forced to the PR 8 behaviour (per-message pickle,
-  per-message pipe sends, every window barriered, spawn).  The pair
-  must produce **bit-identical digests** — the optimisations are
-  observationally pure — and the default row's speedup is the figure.
+* **sharded rows** — each (nodes, shards) point on the sharded backend.
 * **sim rows** — the single-process reference at the same node counts,
   pinning the single-vs-sharded crossover (the node count where the
   sharded backend first beats one process on this box).
-* **skip-ahead rows** — a sparse workload (long idle gaps between
-  posts) run with and without ``shard_quiescent_skip``: same digest,
-  far fewer barriered windows.
+* **sparse row** — a workload with long idle gaps between posts, where
+  skip-ahead elides most barrier rounds (compare ``windows`` with the
+  virtual time over the window width).
 * **durable row** — the E12 soak's durable phase re-run against the
   committed baseline (journal slab records, pooled appends, O(delta)
   checkpoint snapshots).
@@ -42,45 +38,9 @@ from repro.bench.scale import (
     run_scale_sharded,
 )
 
-#: the PR 8 sharded behaviour, forced knob by knob
-LEGACY_KNOBS = dict(wire_codec=False, shard_window_batching=False,
-                    shard_quiescent_skip=False,
-                    shard_start_method="spawn")
-
 #: committed BENCH_soak.json durable-phase baseline (posts/s wall),
 #: measured before the journal slab / checkpoint-snapshot work
 DURABLE_BASELINE_POSTS_PER_SEC = 9384.4
-
-
-def run_sharded_with(spec: ScaleSpec, **knobs: Any) -> dict:
-    """``run_scale_sharded`` with ClusterConfig overrides forced in.
-
-    The overrides win over whatever the spec would build, so a single
-    spec can be run under both the default and the legacy knob sets —
-    the digest-equality comparison E15 is built on.
-    """
-    if not knobs:
-        return run_scale_sharded(spec)
-    patched = replace(spec)
-    base_config = ScaleSpec.config
-
-    def config(**overrides: Any) -> Any:
-        overrides.update(knobs)
-        return base_config(patched, **overrides)
-
-    patched.config = config  # type: ignore[method-assign]
-    return run_scale_sharded(patched)
-
-
-def run_pair(spec: ScaleSpec) -> tuple[dict, dict]:
-    """(default-knobs row, legacy-knobs row); digests must match."""
-    fast = run_scale_sharded(spec)
-    slow = run_sharded_with(spec, **LEGACY_KNOBS)
-    assert fast["digest"] == slow["digest"], (
-        f"codec/batching changed the run at n={spec.n_nodes}: "
-        f"{fast['digest'][:12]} != {slow['digest'][:12]}")
-    assert fast["executed"] == fast["raised"] == spec.total_posts
-    return fast, slow
 
 
 def sparse_spec(quick: bool = False) -> ScaleSpec:
@@ -93,19 +53,6 @@ def sparse_spec(quick: bool = False) -> ScaleSpec:
     return ScaleSpec(n_nodes=8 if quick else 16, shard_count=2,
                      posts_per_node=10 if quick else 20,
                      interval=0.1, link_latency=5e-3)
-
-
-def run_skip_pair(spec: ScaleSpec) -> tuple[dict, dict]:
-    """(skip-ahead row, dense-barrier row); same digest, fewer windows."""
-    skip = run_scale_sharded(spec)
-    dense = run_sharded_with(spec, shard_quiescent_skip=False)
-    assert skip["digest"] == dense["digest"], (
-        "quiescent skip-ahead changed the run: "
-        f"{skip['digest'][:12]} != {dense['digest'][:12]}")
-    assert skip["windows"] < dense["windows"], (
-        f"skip-ahead elided nothing: {skip['windows']} vs "
-        f"{dense['windows']} windows")
-    return skip, dense
 
 
 def run_durable_row(posts: int = 50_000) -> dict:
@@ -143,8 +90,8 @@ def run_e15(sharded=((16, 2), (64, 4), (128, 8)),
     table = Table(
         title="E15: cross-shard & durable-path speed",
         columns=["row", "nodes", "shards", "posts", "posts/s (wall)",
-                 "windows", "speedup", "digest[:12]"])
-    rows: dict[str, Any] = {"sim": [], "sharded": [], "skip": {},
+                 "windows", "digest[:12]"])
+    rows: dict[str, Any] = {"sim": [], "sharded": [], "sparse": None,
                             "durable": None, "crossover_nodes": None}
 
     for n, shards in sharded:
@@ -153,36 +100,27 @@ def run_e15(sharded=((16, 2), (64, 4), (128, 8)),
         sim_row = run_scale_local(replace(spec, shard_count=1))
         rows["sim"].append(sim_row)
         table.add("sim", n, 1, sim_row["raised"],
-                  round(sim_row["posts_per_sec"], 1), "-", "-",
+                  round(sim_row["posts_per_sec"], 1), "-",
                   sim_row["digest"][:12])
-        fast, slow = run_pair(spec)
-        speedup = round(ratio(fast["posts_per_sec"],
-                              slow["posts_per_sec"]), 2)
-        rows["sharded"].append({"default": fast, "legacy": slow,
-                                "speedup": speedup})
-        table.add("sharded legacy", n, shards, slow["raised"],
-                  round(slow["posts_per_sec"], 1), slow["windows"],
-                  "1.0", slow["digest"][:12])
-        table.add("sharded default", n, shards, fast["raised"],
-                  round(fast["posts_per_sec"], 1), fast["windows"],
-                  f"{speedup}x", fast["digest"][:12])
+        row = run_scale_sharded(spec)
+        assert row["executed"] == row["raised"] == spec.total_posts
+        # keyed "default" so committed BENCH_shardspeed.json files,
+        # which also carried a legacy-protocol row, read the same way
+        rows["sharded"].append({"default": row})
+        table.add("sharded", n, shards, row["raised"],
+                  round(row["posts_per_sec"], 1), row["windows"],
+                  row["digest"][:12])
 
-    skip, dense = run_skip_pair(sparse_spec(quick))
-    rows["skip"] = {"skip": skip, "dense": dense}
-    table.add("sparse dense", skip["nodes"], skip["shards"],
-              dense["raised"], round(dense["posts_per_sec"], 1),
-              dense["windows"], "1.0", dense["digest"][:12])
-    table.add("sparse skip-ahead", skip["nodes"], skip["shards"],
-              skip["raised"], round(skip["posts_per_sec"], 1),
-              skip["windows"],
-              f"{round(ratio(skip['posts_per_sec'], dense['posts_per_sec']), 2)}x",
-              skip["digest"][:12])
+    sparse = run_scale_sharded(sparse_spec(quick))
+    rows["sparse"] = sparse
+    table.add("sparse skip-ahead", sparse["nodes"], sparse["shards"],
+              sparse["raised"], round(sparse["posts_per_sec"], 1),
+              sparse["windows"], sparse["digest"][:12])
 
     durable = run_durable_row(durable_posts)
     rows["durable"] = durable
     table.add("durable phase", 2, 1, durable["posts"],
-              durable["wall_posts_per_sec"], "-",
-              f"{durable['speedup_vs_baseline']}x vs baseline", "-")
+              durable["wall_posts_per_sec"], "-", "-")
 
     fast_rows = [pair["default"] for pair in rows["sharded"]]
     crossover = pin_crossover(rows["sim"], fast_rows)
@@ -193,11 +131,9 @@ def run_e15(sharded=((16, 2), (64, 4), (128, 8)),
     else:
         table.note("no crossover in this sweep: the one-process sim "
                    "stayed ahead at every measured node count")
-    table.note("every sharded default/legacy pair and the sparse "
-               "skip/dense pair are digest-identical: the speedups are "
-               "observationally pure")
-    table.note(f"durable baseline {DURABLE_BASELINE_POSTS_PER_SEC} "
-               "posts/s is the committed BENCH_soak.json durable phase")
+    table.note(f"durable phase at {durable['speedup_vs_baseline']}x the "
+               f"{DURABLE_BASELINE_POSTS_PER_SEC} posts/s committed "
+               "BENCH_soak.json durable phase")
     return table, rows
 
 

@@ -75,8 +75,6 @@ class SoakSpec:
     #: scheduler backend for the measured run; the acceptance criterion
     #: is stated for the wheel + slab + batched-routing path
     scheduler: str = "wheel"
-    wheel_tick: float = 1e-3
-    wheel_slots: int = 4096
     #: retained latency samples per phase (drop-oldest, deterministic)
     latency_window: int = 4096
 
@@ -154,8 +152,7 @@ def _p99(samples: deque) -> float:
 def _build(spec: SoakSpec, **overrides: Any) -> Cluster:
     knobs: dict[str, Any] = dict(
         seed=spec.seed, link_latency=spec.link_latency,
-        scheduler=spec.scheduler, wheel_tick=spec.wheel_tick,
-        wheel_slots=spec.wheel_slots, trace_net=False)
+        scheduler=spec.scheduler, trace_net=False)
     knobs.update(overrides)
     cluster = Cluster(ClusterConfig(**knobs))
     cluster.tracer.mute(*MUTED_CATEGORIES)
@@ -342,7 +339,6 @@ def run_soak(spec: SoakSpec | None = None) -> tuple[Table, dict[str, Any]]:
             "objects": spec.objects, "zipf_s": spec.zipf_s,
             "burst": spec.burst, "gap": spec.gap,
             "group_size": spec.group_size, "scheduler": spec.scheduler,
-            "wheel_tick": spec.wheel_tick, "wheel_slots": spec.wheel_slots,
         },
     }
     return table, payload

@@ -10,7 +10,7 @@ time.
 from __future__ import annotations
 
 import itertools
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import KernelError, UnknownThreadError
 from repro.events.delivery import EventManager
@@ -151,21 +151,25 @@ class Cluster:
         kernel.membership.leave()
         kernel.crash()
 
-    def membership_stats(self) -> dict[str, int]:
-        """Cluster-wide sums of the per-node SWIM membership counters."""
-        totals: dict[str, int] = {}
+    def _sum_node_stats(self, stats_of: Callable[[Any], dict],
+                        totals: dict[str, int] | None = None,
+                        prefix: str = "") -> dict[str, int]:
+        """Add every node's ``stats_of(kernel)`` counters into ``totals``
+        (keys prefixed with ``prefix``)."""
+        totals = {} if totals is None else totals
         for kernel in self.kernels.values():
-            for key, value in kernel.membership.stats().items():
+            for key, value in stats_of(kernel).items():
+                key = prefix + key
                 totals[key] = totals.get(key, 0) + value
         return totals
 
+    def membership_stats(self) -> dict[str, int]:
+        """Cluster-wide sums of the per-node SWIM membership counters."""
+        return self._sum_node_stats(lambda k: k.membership.stats())
+
     def reliability_stats(self) -> dict[str, int]:
         """Cluster-wide sums of the per-node reliable-channel counters."""
-        totals: dict[str, int] = {}
-        for kernel in self.kernels.values():
-            for key, value in kernel.reliable.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return self._sum_node_stats(lambda k: k.reliable.stats())
 
     def node_recovered(self, node: int) -> None:
         """A node finished recovery replay: surviving peers re-dispatch
@@ -177,11 +181,7 @@ class Cluster:
 
     def durability_stats(self) -> dict[str, int]:
         """Cluster-wide sums of the per-node store counters."""
-        totals: dict[str, int] = {}
-        for kernel in self.kernels.values():
-            for key, value in kernel.store.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return self._sum_node_stats(lambda k: k.store.stats())
 
     # ------------------------------------------------------------------
     # handler supervision (dead letters, breakers, failure detection)
@@ -219,18 +219,12 @@ class Cluster:
 
     def supervision_stats(self) -> dict[str, int]:
         """Supervisor counters plus cluster-wide detector / dead-letter
-        sums and the admission gate's shed/defer/depth counters."""
+        sums and the admission gate's shed/defer/depth counters. SWIM
+        counters are in :meth:`membership_stats` only."""
         totals = dict(self.events.supervisor.stats())
-        for kernel in self.kernels.values():
-            for key, value in kernel.failure.stats().items():
-                totals[key] = totals.get(key, 0) + value
-            if kernel.membership.enabled:
-                for key, value in kernel.membership.stats().items():
-                    key = f"membership_{key}"
-                    totals[key] = totals.get(key, 0) + value
-            for key, value in kernel.dead_letters.stats().items():
-                key = f"dead_letters_{key}"
-                totals[key] = totals.get(key, 0) + value
+        self._sum_node_stats(lambda k: k.failure.stats(), totals)
+        self._sum_node_stats(lambda k: k.dead_letters.stats(), totals,
+                             prefix="dead_letters_")
         for key, value in self.events.admission_stats().items():
             totals[f"admission_{key}"] = totals.get(
                 f"admission_{key}", 0) + value

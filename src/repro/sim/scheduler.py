@@ -517,14 +517,16 @@ class WheelSimulator(Simulator):
         self._compactions += 1
 
 
-def make_simulator(scheduler: str = SCHEDULER_HEAP, start: float = 0.0,
-                   wheel_tick: float = 1e-3,
-                   wheel_slots: int = 4096) -> Simulator:
-    """Build a scheduler backend by name (``"heap"`` or ``"wheel"``)."""
+def make_simulator(scheduler: str = SCHEDULER_HEAP,
+                   start: float = 0.0) -> Simulator:
+    """Build a scheduler backend by name (``"heap"`` or ``"wheel"``).
+
+    The wheel gets its default geometry (1 ms ticks, 4096 slots).
+    """
     if scheduler == SCHEDULER_HEAP:
         return Simulator(start)
     if scheduler == SCHEDULER_WHEEL:
-        return WheelSimulator(start, tick=wheel_tick, slots=wheel_slots)
+        return WheelSimulator(start)
     raise SimulationError(
         f"unknown scheduler backend {scheduler!r}; "
         f"choose from {SCHEDULER_NAMES}")

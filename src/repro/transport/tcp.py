@@ -27,8 +27,7 @@ in process.  That last fallback is what makes this a *loopback
 cluster* backend: all nodes live in one process and real distribution
 across machines would require every payload to serialize.  The smoke
 bench and example keep payloads plain, so their frames are honest
-bytes.  ``wire_codec=False`` (the ``ClusterConfig.wire_codec`` knob)
-restores the always-pickle framing.
+bytes.
 
 Known limits, stated plainly: wall-clock runs are not seed
 reproducible (use the sim backends for determinism), and fault
@@ -114,17 +113,13 @@ class AsyncioTransport(Transport):
         ``base_port + i``.
     poll:
         Run-loop exit poll period handed to the scheduler.
-    wire_codec:
-        Encode envelopes with the compact wire codec (default); False
-        restores the always-pickle framing.
     """
 
     BACKEND = "tcp"
 
     def __init__(self, host: str = "127.0.0.1", base_port: int = 0,
-                 poll: float = 0.005, wire_codec: bool = True) -> None:
+                 poll: float = 0.005) -> None:
         super().__init__()
-        self._wire_codec = wire_codec
         self.scheduler = RealtimeScheduler(poll=poll)
         self.scheduler.add_idle_hook(lambda: self._in_flight == 0)
         self._host = host
@@ -204,15 +199,10 @@ class AsyncioTransport(Transport):
             # above the port by the fabric/kernel.
             self._in_flight -= 1
             return
-        body = None
-        fmt = _FMT_PICKLE
-        if self._wire_codec:
-            try:
-                body = codec.encode_message(message)
-                fmt = _FMT_CODEC
-            except Exception:  # noqa: BLE001 - unencodable payload
-                body = None
-        if body is None:
+        try:
+            body = codec.encode_message(message)
+            fmt = _FMT_CODEC
+        except Exception:  # noqa: BLE001 - unencodable payload
             try:
                 body = pickle.dumps(message)
                 fmt = _FMT_PICKLE

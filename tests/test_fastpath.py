@@ -1,6 +1,6 @@
 """Transport fast-path tests: cumulative/coalesced/piggybacked acks,
 per-peer retransmit timers, journal group-commit, scheduler heap
-compaction — and the invariants that must hold with the fast path on
+compaction — and the invariants that must hold with ack coalescing on
 *and* off (identical delivery semantics, only envelope counts change)."""
 
 import gc
@@ -22,7 +22,7 @@ from repro.store.journal import (
     REC_POST,
 )
 
-FAST_OFF = {"ack_delay": 0.0, "ack_piggyback": False}
+FAST_OFF = {"ack_delay": 0.0}
 
 
 def make_pair(plan=None, drop_acks_at=(), **channel_kw):
@@ -139,15 +139,31 @@ class TestPiggyback:
             [(0, "rev")]
         assert channels[0].stats()["pending"] == 0
 
+    def test_ack_delay_zero_never_piggybacks(self):
+        # the same reverse traffic with no coalescing window: each ack
+        # leaves at once, so none is pending for "rev" to carry
+        sim, fabric, channels, delivered, acked_data = make_pair(
+            rto_base=0.05, **FAST_OFF)
+        channels[0].send(Message(src=0, dst=1, mtype="x", payload="fwd"))
+        sim.call_at(2e-3, channels[1].send,
+                    Message(src=1, dst=0, mtype="x", payload="rev"))
+        sim.run()
+        assert sorted(p for _, p in delivered) == ["fwd", "rev"]
+        assert channels[1].stats()["acks_piggybacked"] == 0
+        assert channels[1].stats()["acks_sent"] == 1
+        assert acked_data == []
+        assert channels[0].stats()["pending"] == 0
+
     def test_piggybacked_ack_on_retransmitted_data_message(self):
         # Node 1's data message is acked, but the ack is lost, so node 1
         # retransmits it — and by then node 1 owes node 0 an ack for
         # forward traffic, which rides the retransmitted envelope.
         sim, fabric, channels, delivered, acked_data = make_pair(
             drop_acks_at={1: 1}, rto_base=6e-3, ack_delay=3e-3)
-        # keep node 0's own sends plain so the only piggyback
-        # opportunity is node 1's retransmission
-        channels[0].ack_piggyback = False
+        # node 0 acks at once, so no ack of its own is pending to ride
+        # "fwd" and the only piggyback opportunity is node 1's
+        # retransmission
+        channels[0].ack_delay = 0.0
         channels[1].send(Message(src=1, dst=0, mtype="x", payload="rev"))
         sim.call_at(3e-3, channels[0].send,
                     Message(src=0, dst=1, mtype="x", payload="fwd"))
@@ -159,19 +175,6 @@ class TestPiggyback:
         assert (0, "rev", 1) in acked_data
         assert channels[0].stats()["pending"] == 0
         assert channels[1].stats()["pending"] == 0
-
-    def test_piggyback_disabled_uses_dedicated_envelopes(self):
-        sim, fabric, channels, delivered, acked_data = make_pair(
-            ack_delay=3e-3, ack_piggyback=False, rto_base=0.05)
-        channels[0].send(Message(src=0, dst=1, mtype="x", payload="fwd"))
-        sim.call_at(2e-3, channels[1].send,
-                    Message(src=1, dst=0, mtype="x", payload="rev"))
-        sim.run()
-        assert sorted(p for _, p in delivered) == ["fwd", "rev"]
-        assert channels[1].stats()["acks_piggybacked"] == 0
-        assert channels[1].stats()["acks_sent"] == 1
-        assert acked_data == []
-        assert channels[0].stats()["pending"] == 0
 
 
 class TestAckValidation:
@@ -335,8 +338,7 @@ class TestChaosWithFastPath:
         assert report.accounted_rate == 1.0
 
     def test_chaos_invariants_fastpath_off(self):
-        spec = replace(self.BASE, ack_delay=0.0, ack_piggyback=False,
-                       journal_group_commit=False)
+        spec = replace(self.BASE, ack_delay=0.0)
         report = run_chaos(spec)
         assert report.violations == []
         assert report.accounted_rate == 1.0
@@ -345,9 +347,7 @@ class TestChaosWithFastPath:
         base = replace(self.BASE, durable=True, posts=40,
                        checkpoint_interval=16)
         for off in (False, True):
-            spec = base if not off else replace(
-                base, ack_delay=0.0, ack_piggyback=False,
-                journal_group_commit=False)
+            spec = base if not off else replace(base, ack_delay=0.0)
             report = run_chaos(spec)
             assert report.violations == [], (off, report.violations[:3])
             assert report.durability["pending"] == 0

@@ -80,7 +80,22 @@ class TestConfigValidation:
 
     def test_admission_low_defaults_to_half_high(self):
         config = ClusterConfig(admission_high=10)
-        assert config.admission_low == 5
+        assert config.admission_low is None
+        assert config.effective_admission_low() == 5
+        assert ClusterConfig(admission_high=1).effective_admission_low() == 1
+
+    def test_replace_rederives_default_admission_low(self):
+        # the derived low watermark is not frozen into the field, so a
+        # lower high watermark through replace() re-derives it instead
+        # of failing validation against the old value
+        config = replace(ClusterConfig(admission_high=10),
+                         admission_high=4)
+        assert config.admission_low is None
+        assert config.effective_admission_low() == 2
+        explicit = replace(ClusterConfig(admission_high=10,
+                                         admission_low=3),
+                           admission_high=6)
+        assert explicit.effective_admission_low() == 3
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(KernelError):

@@ -1,39 +1,53 @@
 """Tests for the sharded speed campaign: barrier batching, quiescent
-skip-ahead, the owner-map routing helper, the new config knobs, and
-worker teardown diagnostics.
+skip-ahead, the owner-map routing helper, the window config, and worker
+teardown diagnostics.
 
-The load-bearing property throughout is *observational purity*: every
-optimisation knob (wire codec, window batching, skip-ahead, fork start
-method) must leave same-seed run digests bit-identical to the legacy
-per-message/spawn protocol — only wall-clock and round-trip counts may
-change.
+The load-bearing property throughout is *observational purity*: the
+wire codec, window batching, skip-ahead and the fork start method must
+leave same-seed run digests bit-identical to the per-message pickle,
+dense-barrier spawn protocol they replaced. That protocol is gone, so
+the digests and window counts below are pins recorded while both
+protocols still existed and produced them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
-from repro.bench.scale import ScaleSpec
-from repro.bench.shardspeed import (
-    LEGACY_KNOBS,
-    run_sharded_with,
-    sparse_spec,
-)
+from repro.bench.scale import ScaleSpec, run_scale_sharded
+from repro.bench.shardspeed import sparse_spec
 from repro.errors import KernelError, NetworkError
 from repro.kernel.config import (
     ClusterConfig,
     shard_bounds,
     shard_owner_map,
 )
+from repro.transport import codec, sharded
 from repro.transport.sharded import ShardContext, run_sharded
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 #: small enough to keep each multi-process run under a second
 SMALL = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=15)
+
+#: SMALL's digest and barrier windows; the legacy protocol (pickle,
+#: per-message pipe sends, every window barriered, spawn) produced the
+#: same digest and window count
+SMALL_DIGEST = (
+    "319641e36d3bf16f842d04433f9f68fc7c77880e363a5cd7c852194bf0b3760f")
+SMALL_WINDOWS = 7
+SMALL_CROSS_SHARD = 25
+
+#: ``sparse_spec(quick=True)`` with skip-ahead; the dense barrier loop
+#: ran 198 windows to the same digest
+SPARSE_DIGEST = (
+    "57e97bf99f105487438554b05b9cba2166dd4ceeaf18678131fc55c8c974c9ee")
+SPARSE_WINDOWS = 103
+SPARSE_DENSE_WINDOWS = 198
 
 
 def dying_scenario(ctx):
@@ -80,11 +94,9 @@ class TestOwnerMap:
 
 class TestConfigKnobs:
     def test_defaults(self):
-        config = ClusterConfig(n_nodes=2)
-        assert config.wire_codec is True
-        assert config.shard_window_batching is True
-        assert config.shard_quiescent_skip is True
-        assert config.shard_start_method is None
+        # workers fork where the platform offers it, else spawn
+        assert sharded._start_method() == (
+            "fork" if FORK_AVAILABLE else "spawn")
 
     def test_window_precedence(self):
         base = dict(n_nodes=4, link_latency=1e-3)
@@ -119,10 +131,6 @@ class TestConfigKnobs:
                                shard_window=4e-3)
         assert config.effective_shard_window() == 4e-3
 
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(KernelError, match="shard_start_method"):
-            ClusterConfig(n_nodes=4, shard_start_method="thread")
-
 
 # ----------------------------------------------------------------------
 # observational purity of the fast paths (multi-process)
@@ -130,33 +138,41 @@ class TestConfigKnobs:
 
 class TestBarrierDeterminism:
     def test_defaults_vs_legacy_digest_identical(self):
-        fast = run_sharded_with(SMALL)
-        slow = run_sharded_with(SMALL, **LEGACY_KNOBS)
-        assert fast["digest"] == slow["digest"]
-        assert fast["executed"] == slow["executed"] == SMALL.total_posts
+        run = run_scale_sharded(SMALL)
+        assert run["digest"] == SMALL_DIGEST
+        assert run["windows"] == SMALL_WINDOWS
+        assert run["executed"] == run["raised"] == SMALL.total_posts
         # batching/skip change round-trips and encoding, never traffic
-        assert fast["cross_shard"] == slow["cross_shard"]
+        assert run["cross_shard"] == SMALL_CROSS_SHARD
 
-    def test_codec_vs_pickle_digest_identical(self):
-        with_codec = run_sharded_with(SMALL, wire_codec=True)
-        with_pickle = run_sharded_with(SMALL, wire_codec=False)
-        assert with_codec["digest"] == with_pickle["digest"]
+    @pytest.mark.skipif(not FORK_AVAILABLE,
+                        reason="forked workers must inherit the patch")
+    def test_codec_vs_pickle_digest_identical(self, monkeypatch):
+        with_codec = run_scale_sharded(SMALL)
+        # frame the barrier pipes with pickle instead of the wire codec
+        monkeypatch.setattr(sharded, "_start_method", lambda: "fork")
+        monkeypatch.setattr(codec, "encode_batch", pickle.dumps)
+        monkeypatch.setattr(codec, "decode_batch", pickle.loads)
+        with_pickle = run_scale_sharded(SMALL)
+        assert with_codec["digest"] == with_pickle["digest"] == SMALL_DIGEST
+        assert with_codec["windows"] == with_pickle["windows"]
+        assert with_codec["cross_shard"] == with_pickle["cross_shard"]
 
     def test_skip_ahead_elides_quiescent_windows(self):
         spec = sparse_spec(quick=True)
-        skip = run_sharded_with(spec, shard_quiescent_skip=True)
-        dense = run_sharded_with(spec, shard_quiescent_skip=False)
-        assert skip["digest"] == dense["digest"]
-        assert skip["executed"] == dense["executed"] == spec.total_posts
-        assert skip["windows"] < dense["windows"]
+        run = run_scale_sharded(spec)
+        assert run["digest"] == SPARSE_DIGEST
+        assert run["executed"] == spec.total_posts
+        assert run["windows"] == SPARSE_WINDOWS < SPARSE_DENSE_WINDOWS
 
     @pytest.mark.skipif(not FORK_AVAILABLE,
                         reason="fork start method unavailable")
-    def test_fork_vs_spawn_digest_identical(self):
-        forked = run_sharded_with(SMALL, shard_start_method="fork")
-        spawned = run_sharded_with(SMALL, shard_start_method="spawn")
-        assert forked["digest"] == spawned["digest"]
-        assert forked["windows"] == spawned["windows"]
+    def test_fork_vs_spawn_digest_identical(self, monkeypatch):
+        for method in ("fork", "spawn"):
+            monkeypatch.setattr(sharded, "_start_method", lambda: method)
+            run = run_scale_sharded(SMALL)
+            assert run["digest"] == SMALL_DIGEST, method
+            assert run["windows"] == SMALL_WINDOWS, method
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +184,7 @@ class TestWorkerTeardown:
                         reason="dying_scenario needs the inherited module")
     def test_dead_worker_raises_clear_error(self):
         config = ClusterConfig(n_nodes=4, transport="sharded",
-                               shard_count=2, trace_net=False,
-                               shard_start_method="fork")
+                               shard_count=2, trace_net=False)
         with pytest.raises(NetworkError,
                            match=r"shard 1 .*(died|failed|exited)"):
             run_sharded(config, "tests.test_shardspeed:dying_scenario",
