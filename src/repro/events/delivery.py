@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
     BuddyUnavailableError,
@@ -50,25 +50,8 @@ from repro.events.admission import (
 from repro.events.block import EventBlock
 from repro.events.handlers import Decision, HandlerContext, HandlerRegistration
 from repro.events.supervise import HandlerSupervisor
-from repro.events.locate import (
-    MSG_BCAST_POST,
-    MSG_BCAST_REPLY,
-    MSG_CACHED_POST,
-    MSG_MCAST_POST,
-    MSG_MCAST_REPLY,
-    MSG_PATH_POST,
-    BroadcastLocator,
-    CachedLocator,
-    MulticastLocator,
-    PathLocator,
-    make_locator,
-)
-from repro.kernel.config import (
-    LOCATE_BROADCAST,
-    LOCATE_MULTICAST,
-    LOCATE_PATH,
-    OVERLOAD_DEGRADE,
-)
+from repro.events.locate import LOCATORS
+from repro.kernel.config import OVERLOAD_DEGRADE
 from repro.net.message import Message
 from repro.net.stats import LatencyReservoir
 from repro.objects.capability import Capability
@@ -106,37 +89,15 @@ class EventManager:
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self.locator = make_locator(cluster.config.locator, self)
         # All strategies answer their own message types, so mixed
         # experiments can instantiate them side by side; the cached
-        # locator also borrows one of the three as its fallback.
-        self._path = (self.locator if isinstance(self.locator, PathLocator)
-                      else PathLocator(self))
-        self._bcast = (self.locator
-                       if isinstance(self.locator, BroadcastLocator)
-                       else BroadcastLocator(self))
-        self._mcast = (self.locator
-                       if isinstance(self.locator, MulticastLocator)
-                       else MulticastLocator(self))
-        self._cached = (self.locator
-                        if isinstance(self.locator, CachedLocator)
-                        else CachedLocator(self))
+        # locator also borrows one of the other three as its fallback.
+        self.locators = {name: cls(self) for name, cls in LOCATORS.items()}
+        self.locator = self.locators[cluster.config.locator]
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_POST_OBJECT,
                                             self._on_post_object)
             kernel.register_message_handler(MSG_RESUME, self._on_resume)
-            kernel.register_message_handler(MSG_PATH_POST,
-                                            self._path.on_message)
-            kernel.register_message_handler(MSG_BCAST_POST,
-                                            self._bcast.on_message)
-            kernel.register_message_handler(MSG_BCAST_REPLY,
-                                            self._bcast.on_reply)
-            kernel.register_message_handler(MSG_MCAST_POST,
-                                            self._mcast.on_message)
-            kernel.register_message_handler(MSG_MCAST_REPLY,
-                                            self._mcast.on_reply)
-            kernel.register_message_handler(MSG_CACHED_POST,
-                                            self._cached.on_message)
         #: block_id -> pending synchronous-raise record
         self._sync_waits: dict[int, dict] = {}
         #: delivery statistics for the benchmarks
@@ -184,12 +145,6 @@ class EventManager:
         self.delivery_latencies = LatencyReservoir(
             cluster.config.latency_reservoir_capacity)
 
-    def base_locator(self, name: str) -> Any:
-        """One of the three paper strategies, by config name (shared
-        instances; used as the cached locator's fallback)."""
-        return {LOCATE_PATH: self._path, LOCATE_BROADCAST: self._bcast,
-                LOCATE_MULTICAST: self._mcast}[name]
-
     def delivery_latency_summary(self) -> dict[str, float]:
         """count/mean/p50/p99 over the raise->deliver latency samples."""
         return self.delivery_latencies.summary()
@@ -206,32 +161,10 @@ class EventManager:
         except EventError as exc:
             thread.schedule_step(None, exc)
             return
-        node = thread.current_node
-        block = EventBlock(event=syscall.event, raiser_tid=thread.tid,
-                           raiser_node=node, target=target,
-                           synchronous=syscall.synchronous,
-                           user_data=syscall.user_data,
-                           raised_at=self.cluster.sim.now)
-        self.cluster.tracer.emit(
-            "event", "raise", event=syscall.event, tid=str(thread.tid),
-            target=str(target), sync=syscall.synchronous, node=node)
-        if syscall.synchronous:
-            record = {"kind": "thread", "thread": thread,
-                      "epoch": thread.block("raise_and_wait"),
-                      "node": node, "remaining": 1, "values": [],
-                      "group": isinstance(target, GroupId)}
-            self._sync_waits[block.block_id] = record
-            count = self._route(node, block, target)
-            if count == 0:
-                self._sync_waits.pop(block.block_id, None)
-                thread.resume_with(None, DeadThreadError(
-                    f"no recipients for {syscall.event} -> {target}"),
-                    record["epoch"])
-                return
-            record["remaining"] = count
-            self._arm_sync_timeout(block.block_id, syscall.event)
-        else:
-            count = self._route(node, block, target)
+        count = self._raise(syscall.event, target, thread.current_node,
+                            syscall.user_data, syscall.synchronous,
+                            thread=thread)
+        if not syscall.synchronous:
             thread.schedule_step(count, None)
 
     def raise_external(self, event: str, target: Any, from_node: int = 0,
@@ -244,51 +177,63 @@ class EventManager:
         self.cluster.names.require_event(event)
         target = self._normalize_target(target)
         future: SimFuture[Any] = SimFuture(self.cluster.sim)
-        block = EventBlock(event=event, raiser_tid=None,
-                           raiser_node=from_node, target=target,
-                           synchronous=synchronous, user_data=user_data,
-                           raised_at=self.cluster.sim.now)
-        self.cluster.tracer.emit("event", "raise", event=event, tid="<ext>",
-                                 target=str(target), sync=synchronous,
-                                 node=from_node)
-        if synchronous:
-            record = {"kind": "external", "future": future,
-                      "node": from_node, "remaining": 1, "values": [],
-                      "group": isinstance(target, GroupId)}
-            self._sync_waits[block.block_id] = record
-            count = self._route(from_node, block, target)
-            if count == 0:
-                self._sync_waits.pop(block.block_id, None)
-                future.fail(DeadThreadError(
-                    f"no recipients for {event} -> {target}"))
-            else:
-                record["remaining"] = count
-                self._arm_sync_timeout(block.block_id, event)
-        else:
-            count = self._route(from_node, block, target)
+        count = self._raise(event, target, from_node, user_data,
+                            synchronous, future=future)
+        if not synchronous:
             future.resolve(count)
         return future
 
-    def _arm_sync_timeout(self, token: int, event: str) -> None:
+    def _raise(self, event: str, target: Any, node: int, user_data: Any,
+               synchronous: bool, thread: DThread | None = None,
+               future: SimFuture[Any] | None = None) -> int:
+        """Build, trace and route one raise from ``node``; returns the
+        recipient count. A synchronous raiser waits in a sync record
+        until :meth:`_settle` resumes ``thread`` or resolves ``future``.
+        """
+        tid = thread.tid if thread is not None else None
+        block = EventBlock(event=event, raiser_tid=tid, raiser_node=node,
+                           target=target, synchronous=synchronous,
+                           user_data=user_data,
+                           raised_at=self.cluster.sim.now)
+        self.cluster.tracer.emit(
+            "event", "raise", event=event,
+            tid=str(tid) if tid is not None else "<ext>",
+            target=str(target), sync=synchronous, node=node)
+        if not synchronous:
+            return self._route(node, block, target)
+        record = {"thread": thread, "future": future,
+                  "epoch": (thread.block("raise_and_wait")
+                            if thread is not None else None),
+                  "node": node, "remaining": 1, "values": [],
+                  "group": isinstance(target, GroupId), "timer": None}
+        self._sync_waits[block.block_id] = record
+        count = self._route(node, block, target)
+        if count == 0:
+            self._sync_waits.pop(block.block_id, None)
+            self._settle(record, None, DeadThreadError(
+                f"no recipients for {event} -> {target}"))
+        else:
+            record["remaining"] = count
+            self._arm_sync_timeout(block.block_id, record, event)
+        return count
+
+    def _arm_sync_timeout(self, token: int, record: dict,
+                          event: str) -> None:
         """Guard a raise_and_wait against lost resumes (config knob)."""
         timeout = self.cluster.config.sync_raise_timeout
         if timeout is None:
             return
 
         def expire() -> None:
-            record = self._sync_waits.pop(token, None)
-            if record is None:
+            if self._sync_waits.pop(token, None) is None:
                 return
+            record["timer"] = None  # fired: nothing left to cancel
             error = RpcTimeout(
                 f"raise_and_wait({event}) saw no resume within {timeout}s")
             self.cluster.tracer.emit("event", "sync-timeout", event=event)
-            if record["kind"] == "external":
-                if not record["future"].done:
-                    record["future"].fail(error)
-            else:
-                record["thread"].resume_with(None, error, record["epoch"])
+            self._settle(record, None, error)
 
-        self.cluster.sim.call_after(timeout, expire)
+        record["timer"] = self.cluster.sim.call_after(timeout, expire)
 
     def _normalize_target(self, target: Any) -> Any:
         if isinstance(target, (ThreadId, GroupId, Capability)):
@@ -317,65 +262,92 @@ class EventManager:
         store = self.cluster.kernels[from_node].store if durable else None
         members = (self.cluster.groups.sorted_members(target)
                    if isinstance(target, GroupId) else None)
+        verdict = ADMIT
         if self.admission is not None:
             verdict = self._admission_verdict(from_node, block, target,
                                               members, durable)
+            if verdict in (DROP, DEFER):
+                self.cluster.tracer.emit("event", "shed", event=block.event,
+                                         target=str(target), action=verdict,
+                                         node=from_node)
+                if self.on_shed is not None:
+                    self.on_shed(block, target, verdict)
             if verdict == DROP:
-                return self._shed_drop(from_node, block, target)
-            if verdict == DEFER:
-                return self._shed_defer(from_node, store, block, target,
-                                        members)
+                self.undeliverable += 1
+                block._resume_token = block.block_id
+                self._notify_raiser(block, target, OverloadShedError(
+                    f"{block.event} -> {target} shed by admission control"),
+                    from_node=from_node)
+                return 1
             if verdict == DEGRADE:
                 # Only non-durable object posts degrade: the reliable
                 # retransmit loop is replaced by one datagram plus a
                 # deadline backstop (armed in _post_object).
                 block.degraded = True
         if isinstance(target, Capability):
-            self._charge_admission(target.home, block)
-            if store is not None:
-                store.journal_post(block, "object", target.home)
-            self._post_object(from_node, block, target)
-            return 1
-        if isinstance(target, GroupId):
+            gate_node, kind, home = target.home, "object", target.home
+            blocks = [block]
+        elif members is not None:
             # Batched fan-out: the member list is resolved once (cached
             # sorted order), every member block is built up front, the
             # batch is journaled as one group commit, and one enqueue
             # pass posts them — the delivery stack is set up once per
             # multicast, not once per recipient.
-            event, raiser_tid = block.event, block.raiser_tid
-            raiser_node, synchronous = block.raiser_node, block.synchronous
-            user_data, raised_at = block.user_data, block.raised_at
-            token = block.block_id
-            blocks = []
-            for _ in members:
-                # Each member gets its own copy of the block (separate
-                # snapshots/decisions) tied to the same sync record.
-                member_block = EventBlock(
-                    event=event, raiser_tid=raiser_tid,
-                    raiser_node=raiser_node, target=target,
-                    synchronous=synchronous,
-                    user_data=user_data, raised_at=raised_at)
-                member_block._resume_token = token
-                blocks.append(member_block)
-            if self.admission is not None:
-                for member_block in blocks:
-                    self._charge_admission(from_node, member_block)
-            if store is not None and blocks:
-                # The whole fan-out is known before the first send, so
-                # write-ahead it as one group commit.
-                store.journal_post_batch(
-                    [(b, "thread", None) for b in blocks])
-            post = self._post_thread
-            for tid, member_block in zip(members, blocks):
-                post(from_node, tid, member_block)
-            return len(members)
-        # single thread
-        block._resume_token = block.block_id
-        self._charge_admission(from_node, block)
-        if store is not None:
-            store.journal_post(block, "thread")
-        self._post_thread(from_node, block.target, block)
-        return 1
+            gate_node, kind, home = from_node, "thread", None
+            blocks = self._member_blocks(block, members)
+        else:
+            block._resume_token = block.block_id
+            gate_node, kind, home = from_node, "thread", None
+            blocks = [block]
+        if verdict == DEFER:
+            # Durable shed: journal the post and park it straight into
+            # the outbox. Nothing is sent now; the flush timer (or the
+            # target's recovery announcement) delivers it once the storm
+            # passes.
+            for entry in self._journal(store, blocks, kind, home, members):
+                store.defer(entry.entry_id)
+            return len(blocks)
+        if self.admission is not None:
+            for member_block in blocks:
+                self._charge_admission(gate_node, member_block)
+        if store is not None and blocks:
+            self._journal(store, blocks, kind, home, members)
+        if kind == "object":
+            self._post_object(from_node, block, target)
+            return 1
+        post = self._post_thread
+        for tid, member_block in zip(members or (target,), blocks):
+            post(from_node, tid, member_block)
+        return len(blocks)
+
+    @staticmethod
+    def _member_blocks(block: EventBlock, members: Any) -> list[EventBlock]:
+        """One copy of a group raise's block per member (separate
+        snapshots/decisions), each tied to the raise's sync record."""
+        event, raiser_tid = block.event, block.raiser_tid
+        raiser_node, synchronous = block.raiser_node, block.synchronous
+        user_data, raised_at = block.user_data, block.raised_at
+        target, token = block.target, block.block_id
+        blocks = []
+        for _ in members:
+            member_block = EventBlock(
+                event=event, raiser_tid=raiser_tid,
+                raiser_node=raiser_node, target=target,
+                synchronous=synchronous,
+                user_data=user_data, raised_at=raised_at)
+            member_block._resume_token = token
+            blocks.append(member_block)
+        return blocks
+
+    @staticmethod
+    def _journal(store: Any, blocks: list[EventBlock], kind: str,
+                 home: int | None, members: Any) -> list[OutboxEntry]:
+        """Write-ahead the post's blocks: a group fan-out is known before
+        the first send, so it is journaled as one group commit."""
+        if members is not None:
+            return store.journal_post_batch(
+                [(b, kind, home) for b in blocks])
+        return [store.journal_post(blocks[0], kind, home)]
 
     # ------------------------------------------------------------------
     # admission control (overload shedding)
@@ -438,57 +410,6 @@ class EventManager:
         gate = self.admission.get(token[0])
         if gate is not None:
             gate.release(token[1])
-
-    def _shed_drop(self, from_node: int, block: EventBlock,
-                   target: Any) -> int:
-        """Reject a post at the gate with a §7.2-style notice."""
-        self.undeliverable += 1
-        block._resume_token = block.block_id
-        self.cluster.tracer.emit("event", "shed", event=block.event,
-                                 target=str(target), action="drop",
-                                 node=from_node)
-        if self.on_shed is not None:
-            self.on_shed(block, target, "drop")
-        if self.on_undeliverable is not None:
-            self.on_undeliverable(block, target)
-        self._complete_sync(block, None, OverloadShedError(
-            f"{block.event} -> {target} shed by admission control"),
-            from_node=from_node)
-        return 1
-
-    def _shed_defer(self, from_node: int, store: Any, block: EventBlock,
-                    target: Any, members: Any) -> int:
-        """Journal a durable post and park it straight into the outbox:
-        nothing is sent now; the flush timer (or the target's recovery
-        announcement) delivers it once the storm passes."""
-        self.cluster.tracer.emit("event", "shed", event=block.event,
-                                 target=str(target), action="defer",
-                                 node=from_node)
-        if self.on_shed is not None:
-            self.on_shed(block, target, "defer")
-        if isinstance(target, Capability):
-            entry = store.journal_post(block, "object", target.home)
-            store.defer(entry.entry_id)
-            return 1
-        if isinstance(target, GroupId):
-            blocks = []
-            for _ in members:
-                member_block = EventBlock(
-                    event=block.event, raiser_tid=block.raiser_tid,
-                    raiser_node=block.raiser_node, target=target,
-                    synchronous=block.synchronous,
-                    user_data=block.user_data, raised_at=block.raised_at)
-                member_block._resume_token = block.block_id
-                blocks.append(member_block)
-            entries = store.journal_post_batch(
-                [(b, "thread", None) for b in blocks])
-            for entry in entries:
-                store.defer(entry.entry_id)
-            return len(members)
-        block._resume_token = block.block_id
-        entry = store.journal_post(block, "thread")
-        store.defer(entry.entry_id)
-        return 1
 
     def admission_stats(self) -> dict[str, int]:
         """Cluster-wide admission counters plus live/high-water depth
@@ -557,12 +478,12 @@ class EventManager:
             origin = self.cluster.kernels.get(block.durable_id[0])
             if origin is not None:
                 origin.store.resolve(block.durable_id, NOTICED)
-        if self.on_undeliverable is not None:
-            self.on_undeliverable(block, tid)
+        # An asynchronous raiser hears through TARGET_DEAD below, not
+        # through an error.
+        self._notify_raiser(block, tid, DeadThreadError(
+            f"thread {tid} is dead") if block.synchronous else None,
+            from_node=block.raiser_node or 0)
         if block.synchronous:
-            self._complete_sync(block, None,
-                                DeadThreadError(f"thread {tid} is dead"),
-                                from_node=block.raiser_node or 0)
             return
         raiser = (self.cluster.live_threads.get(block.raiser_tid)
                   if block.raiser_tid is not None else None)
@@ -664,9 +585,15 @@ class EventManager:
             # cancelled handler may have half-executed and a re-run
             # would double its side effects) retries with backoff and
             # eventually quarantines. Deliberate PROPAGATE decisions
-            # and breaker skips are not failures.
-            if chain and errors >= len(chain) and self._chain_run_failed(
-                    thread, block, last_error):
+            # and breaker skips are not failures. A quarantined block
+            # falls through to the default decision like an unsupervised
+            # one.
+            if chain and errors >= len(chain) and self._poison_step(
+                    thread.current_node, block, last_error,
+                    lambda n: f"{block.event} quarantined after {n} chain "
+                              f"failures",
+                    self._retry_chain, thread, block,
+                    tid=str(thread.tid)) == "retry":
                 return
             decision = defaults.thread_default(block.event)
             self._apply_decision(thread, block, decision, None)
@@ -690,27 +617,50 @@ class EventManager:
 
         self._execute_registration(thread, registration, block, done)
 
-    def _chain_run_failed(self, thread: DThread, block: EventBlock,
-                          error: BaseException | None) -> bool:
-        """Every handler in the chain failed; retry or quarantine.
+    def _poison_step(self, node: int, block: EventBlock,
+                     error: BaseException | None,
+                     describe: Callable[[int], str],
+                     retry: Callable[..., None], *args: Any,
+                     **where: Any) -> str | None:
+        """Every handler for ``block`` failed: schedule ``retry(*args)``
+        with exponential backoff or, at ``poison_threshold``, quarantine
+        the block: dead-letter it on ``node`` (the delivering node, or
+        the object's home) and fail its synchronous raiser.
 
-        Returns False when the poison policy is off (the chain falls
-        through to the default decision, the pre-supervision behaviour).
+        Returns the action taken, or None when the poison policy is off
+        (the caller concludes as it would without supervision).
+        ``describe(failures)`` words the raiser's quarantine error;
+        ``where`` names the handler's owner (tid or oid) in the trace.
         """
         action, count = self.supervisor.chain_failed(block)
-        if action is None:
-            return False
+        kernel = self.cluster.kernels[node]
         if action == "retry":
             self.supervisor.counters["chain_retries"] += 1
             self.cluster.tracer.emit("supervise", "chain-retry",
-                                     event=block.event, tid=str(thread.tid),
-                                     attempt=count)
+                                     event=block.event, attempt=count,
+                                     **where)
+            if block.durable_id is not None:
+                # Retract an object run's applied marker (thread posts
+                # carry none): if the node dies during the backoff, the
+                # origin's redelivery must re-run the handler, not be
+                # suppressed.
+                kernel.store.unmark_applied(block.durable_id)
             delay = self.cluster.config.handler_backoff * (2 ** (count - 1))
-            self.cluster.sim.call_after(delay, self._retry_chain, thread,
-                                        block)
-            return True
-        self._quarantine_thread_block(thread, block, error, count)
-        return True
+            self.cluster.sim.call_after(delay, retry, *args)
+        elif action == "quarantine":
+            self.supervisor.counters["quarantined"] += 1
+            kernel.dead_letters.add(block, "poison", error=error,
+                                    failures=count)
+            if block.durable_id is not None:
+                # Resolve the origin's outbox as quarantined (not
+                # delivered) and strip the id so no later conclusion
+                # re-acks it.
+                kernel.store.post_quarantined(block.durable_id)
+                block.durable_id = None
+            self._complete_sync(block, None, EventQuarantinedError(
+                describe(count)), from_node=node)
+            block.synchronous = False  # the raiser has been resumed
+        return action
 
     def _retry_chain(self, thread: DThread, block: EventBlock) -> None:
         if not thread.alive or thread.delivering_block is not block:
@@ -719,28 +669,6 @@ class EventManager:
             return
         chain = thread.attributes.handlers_for(block.event)
         self._run_chain(thread, block, chain, 0)
-
-    def _quarantine_thread_block(self, thread: DThread, block: EventBlock,
-                                 error: BaseException | None,
-                                 failures: int) -> None:
-        """The block hit ``poison_threshold``: dead-letter it on the
-        delivering node and let the thread move on."""
-        node = thread.current_node
-        kernel = self.cluster.kernels[node]
-        self.supervisor.counters["quarantined"] += 1
-        kernel.dead_letters.add(block, "poison", error=error,
-                                failures=failures)
-        if block.durable_id is not None:
-            # Resolve the origin's outbox as quarantined (not delivered)
-            # and strip the id so _apply_decision does not re-ack.
-            kernel.store.post_quarantined(block.durable_id)
-            block.durable_id = None
-        self._complete_sync(block, None, EventQuarantinedError(
-            f"{block.event} quarantined after {failures} chain failures"),
-            from_node=node)
-        block.synchronous = False  # the raiser has been resumed
-        decision = defaults.thread_default(block.event)
-        self._apply_decision(thread, block, decision, None)
 
     def _apply_decision(self, thread: DThread, block: EventBlock,
                         decision: Decision, value: Any) -> None:
@@ -788,9 +716,18 @@ class EventManager:
                 done(Decision.PROPAGATE, None, exc)
                 return
             current_obj = thread.current_object
+
+            def body(ctx):
+                # Per-thread-memory handler in the current object's
+                # context.
+                ctx._activation.obj = current_obj
+                ctx._activation.event_block = block
+                result = yield from fn(ctx, block)
+                return result
+
             self.cluster.sim.call_after(
-                cfg.surrogate_cost, self._run_procedure_surrogate, thread,
-                fn, current_obj, block, node, done,
+                cfg.surrogate_cost, self._run_surrogate, thread, body,
+                block, node, done,
                 self.supervisor.effective_deadline(registration))
             return
         # ATTACHING / BUDDY: unscheduled invocation of a handler method,
@@ -843,10 +780,18 @@ class EventManager:
                 self.supervisor.invoke_succeeded(tracer, oid, block.event)
             done(decision, value, error)
 
+        fn_name = registration.fn_name
+
+        def body(ctx):
+            # Attaching-object / buddy handler via unscheduled invocation.
+            result = yield sc.Invoke(cap=obj.cap, entry=fn_name,
+                                     args=(block,), as_handler=True,
+                                     handler_block=block)
+            return result
+
         self.cluster.sim.call_after(
-            cfg.surrogate_cost, self._run_invoke_surrogate, thread, obj,
-            registration.fn_name, block, node, on_done,
-            self.supervisor.effective_deadline(registration))
+            cfg.surrogate_cost, self._run_surrogate, thread, body, block,
+            node, on_done, self.supervisor.effective_deadline(registration))
 
     def _invoke_failed(self, thread: DThread,
                        registration: HandlerRegistration, block: EventBlock,
@@ -870,35 +815,10 @@ class EventManager:
             return
         done(Decision.PROPAGATE, None, error)
 
-    def _run_procedure_surrogate(self, thread: DThread, fn, current_obj,
-                                 block: EventBlock, node: int, done,
-                                 deadline: float | None = None) -> None:
-        """Per-thread-memory handler in the current object's context."""
-
-        def body(ctx):
-            ctx._activation.obj = current_obj
-            ctx._activation.event_block = block
-            result = yield from fn(ctx, block)
-            return result
-
-        surrogate = self.cluster.invoker.adopt_loop_thread(
-            node, body, f"handler:{block.event}", KIND_SURROGATE,
-            attributes=thread.attributes, impersonate=thread.tid)
-        self._watch_surrogate(surrogate, thread, block, deadline)
-        surrogate.completion.add_done_callback(
-            lambda fut: self._surrogate_done(fut, done, thread, block))
-
-    def _run_invoke_surrogate(self, thread: DThread, obj: "DistObject",
-                              fn_name: str, block: EventBlock, node: int,
-                              done, deadline: float | None = None) -> None:
-        """Attaching-object / buddy handler via unscheduled invocation."""
-
-        def body(ctx):
-            result = yield sc.Invoke(cap=obj.cap, entry=fn_name,
-                                     args=(block,), as_handler=True,
-                                     handler_block=block)
-            return result
-
+    def _run_surrogate(self, thread: DThread, body, block: EventBlock,
+                       node: int, done, deadline: float | None) -> None:
+        """Run one handler ``body`` on a surrogate thread that takes on
+        the suspended thread's attributes, under the watchdog."""
         surrogate = self.cluster.invoker.adopt_loop_thread(
             node, body, f"handler:{block.event}", KIND_SURROGATE,
             attributes=thread.attributes, impersonate=thread.tid)
@@ -947,26 +867,29 @@ class EventManager:
                             raised_at=self.cluster.sim.now)
         self.enqueue_for_thread(node, thread.tid, notice)
 
-    def _surrogate_done(self, fut: SimFuture[Any], done,
-                        thread: DThread | None = None,
-                        block: EventBlock | None = None) -> None:
-        if fut.failed or fut.cancelled:
-            try:
-                fut.result()
-            except BaseException as exc:  # noqa: BLE001
-                if not isinstance(exc, HandlerTimeout):
-                    # Timeouts have their own counter/trace; everything
-                    # else is a handler failure worth surfacing.
-                    self.handler_failures += 1
-                    self.cluster.tracer.emit(
-                        "event", "handler-error",
-                        event=block.event if block is not None else None,
-                        tid=str(thread.tid) if thread is not None else None,
-                        error=repr(exc))
-                done(Decision.PROPAGATE, None, exc)
+    def _surrogate_done(self, fut: SimFuture[Any], done, thread: DThread,
+                        block: EventBlock) -> None:
+        value, error = self._outcome(fut)
+        if error is None:
+            decision, value = self._parse_decision(value)
+            done(decision, value, None)
             return
-        decision, value = self._parse_decision(fut.result())
-        done(decision, value, None)
+        if not isinstance(error, HandlerTimeout):
+            # Timeouts have their own counter/trace; everything else is
+            # a handler failure worth surfacing.
+            self.handler_failures += 1
+            self.cluster.tracer.emit("event", "handler-error",
+                                     event=block.event, tid=str(thread.tid),
+                                     error=repr(error))
+        done(Decision.PROPAGATE, None, error)
+
+    @staticmethod
+    def _outcome(fut: SimFuture[Any]) -> tuple[Any, BaseException | None]:
+        """A finished handler future's ``(value, error)``."""
+        try:
+            return fut.result(), None
+        except BaseException as exc:  # noqa: BLE001 - the handler's error
+            return None, exc
 
     @staticmethod
     def _parse_decision(result: Any) -> tuple[Decision, Any]:
@@ -1018,9 +941,7 @@ class EventManager:
                 return  # concluded in time
             self._release_admission(block)
             self.undeliverable += 1
-            if self.on_undeliverable is not None:
-                self.on_undeliverable(block, cap)
-            self._complete_sync(block, None, UndeliverableError(
+            self._notify_raiser(block, cap, UndeliverableError(
                 f"degraded {block.event} to object {cap.oid} unresolved "
                 f"after {deadline}s"), from_node=block.raiser_node or 0)
 
@@ -1050,11 +971,18 @@ class EventManager:
                 block, "undeliverable",
                 error=f"object {cap.oid} on node {cap.home} unreachable",
                 journal=False)
-        if self.on_undeliverable is not None:
-            self.on_undeliverable(block, cap)
-        self._complete_sync(block, None, UndeliverableError(
+        self._notify_raiser(block, cap, UndeliverableError(
             f"{block.event} to object {cap.oid} on node {cap.home} "
             f"undeliverable"), from_node=block.raiser_node or 0)
+
+    def _notify_raiser(self, block: EventBlock, target: Any,
+                       error: BaseException | None, from_node: int) -> None:
+        """A post failed (shed, dead target, give-up, deadline): tell the
+        ``on_undeliverable`` observer, then hand ``error`` to a
+        synchronous raiser."""
+        if self.on_undeliverable is not None:
+            self.on_undeliverable(block, target)
+        self._complete_sync(block, None, error, from_node=from_node)
 
     def _on_post_object(self, message: Message) -> None:
         body = message.payload
@@ -1147,44 +1075,24 @@ class EventManager:
         kernel.objects.run_object_handler(obj, fn, block, done)
 
         def finished(fut: SimFuture[Any]) -> None:
-            error: BaseException | None = None
-            value: Any = None
-            if fut.failed or fut.cancelled:
-                try:
-                    fut.result()
-                except BaseException as exc:  # noqa: BLE001
-                    error = exc
-            else:
-                value = fut.result()
-            if error is not None and not isinstance(
-                    error, (HandlerTimeout, GeneratorExit)):
+            value, error = self._outcome(fut)
+            if error is None:
+                self.supervisor.clear_failures(block)
+            elif not isinstance(error, (HandlerTimeout, GeneratorExit)):
                 # Poison policy for object handlers. Timeouts excluded:
                 # the cancelled handler may have half-executed, so a
                 # re-run could double its side effects. GeneratorExit
                 # excluded: that is the node crashing mid-run, not a
                 # handler bug — recovery redelivery deals with it.
-                action, count = self.supervisor.chain_failed(block)
-                if action == "retry":
-                    self.supervisor.counters["chain_retries"] += 1
-                    self.cluster.tracer.emit(
-                        "supervise", "chain-retry", event=block.event,
-                        oid=oid, attempt=count)
-                    if block.durable_id is not None:
-                        # Retract the applied marker: if the node dies
-                        # during the backoff, the origin's redelivery
-                        # must re-run the handler, not be suppressed.
-                        kernel.store.unmark_applied(block.durable_id)
-                    delay = (self.cluster.config.handler_backoff
-                             * (2 ** (count - 1)))
-                    self.cluster.sim.call_after(delay, self._run_object_post,
-                                                node, block, oid)
-                    return  # no ack yet: the post is still in flight
-                if action == "quarantine":
-                    self._quarantine_object_block(node, block, oid, error,
-                                                  count)
+                if self._poison_step(
+                        node, block, error,
+                        lambda n: f"{block.event} to object {oid} "
+                                  f"quarantined after {n} failures",
+                        self._run_object_post, node, block, oid,
+                        oid=oid) is not None:
+                    # Retried (no ack yet: the post is still in flight)
+                    # or quarantined.
                     return
-            elif error is None:
-                self.supervisor.clear_failures(block)
             if block.event == names.DELETE and error is None:
                 kernel.objects.destroy(oid)
             if block.durable_id is not None:
@@ -1192,24 +1100,6 @@ class EventManager:
             self._complete_sync(block, value, error, from_node=node)
 
         done.add_done_callback(finished)
-
-    def _quarantine_object_block(self, node: int, block: EventBlock,
-                                 oid: int, error: BaseException,
-                                 failures: int) -> None:
-        """An object post hit ``poison_threshold``: dead-letter it on the
-        object's home node."""
-        kernel = self.cluster.kernels[node]
-        self.supervisor.counters["quarantined"] += 1
-        kernel.dead_letters.add(block, "poison", error=error,
-                                failures=failures)
-        if block.durable_id is not None:
-            # Resolve the origin's outbox as quarantined, not delivered.
-            kernel.store.post_quarantined(block.durable_id)
-            block.durable_id = None
-        self._complete_sync(block, None, EventQuarantinedError(
-            f"{block.event} to object {oid} quarantined after "
-            f"{failures} failures"), from_node=node)
-        block.synchronous = False  # the raiser has been resumed
 
     def requeue(self, node: int, dead: Any) -> EventBlock:
         """Re-post a dead letter as a fresh asynchronous block.
@@ -1294,19 +1184,26 @@ class EventManager:
         if record["remaining"] > 0:
             return
         del self._sync_waits[token]
-        final_error = record.get("error")
         result = record["values"] if record["group"] else record["values"][0]
-        if record["kind"] == "external":
-            future: SimFuture[Any] = record["future"]
-            if not future.done:
-                if final_error is not None:
-                    future.fail(final_error)
-                else:
-                    future.resolve(result)
+        self._settle(record, result, record.get("error"))
+
+    def _settle(self, record: dict, value: Any,
+                error: BaseException | None) -> None:
+        """End a synchronous raise: cancel its guard timer, then resume
+        the raising thread or resolve the external raiser's future."""
+        if record["timer"] is not None:
+            record["timer"].cancel()
+        thread: DThread | None = record["thread"]
+        if thread is not None:
+            thread.resume_with(None if error is not None else value, error,
+                               record["epoch"])
             return
-        thread: DThread = record["thread"]
-        thread.resume_with(None if final_error is not None else result,
-                           final_error, record["epoch"])
+        future: SimFuture[Any] = record["future"]
+        if not future.done:
+            if error is not None:
+                future.fail(error)
+            else:
+                future.resolve(value)
 
     def resume_raiser(self, block: EventBlock, value: Any) -> None:
         """Handler-initiated early resume of a blocked raiser (§5.3)."""

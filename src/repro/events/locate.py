@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import KernelError
 from repro.events.block import EventBlock
 from repro.kernel.config import (
     LOCATE_BROADCAST,
@@ -64,13 +63,23 @@ PostResult = Callable[[bool, int], None]
 
 
 class BaseLocator:
-    """Shared plumbing for the three strategies."""
+    """Shared plumbing for the four strategies."""
 
     name = "?"
+    #: the message type carrying this strategy's notices/probes, and the
+    #: probe-reply type of the strategies that collect replies
+    post_type: str
+    reply_type: str | None = None
 
     def __init__(self, manager: "EventManager") -> None:
         self.manager = manager
         self.cluster = manager.cluster
+        # Bound here, after any class-level instrumentation is in place.
+        for kernel in self.cluster.kernels.values():
+            kernel.register_message_handler(self.post_type, self.on_message)
+            if self.reply_type is not None:
+                kernel.register_message_handler(self.reply_type,
+                                                self.on_reply)
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -113,9 +122,37 @@ class BaseLocator:
             return False
         return self.manager.enqueue_for_thread(node, tid, block)
 
-    def _retry_later(self, fn: Callable[[], None]) -> None:
-        self.cluster.sim.call_after(
-            self.cluster.config.locate_retry_delay, fn)
+    def _retry_or_fail(self, tid: ThreadId, state: dict,
+                       on_result: PostResult,
+                       restart: Callable[[], None]) -> None:
+        """Restart the search after ``locate_retry_delay`` while retries
+        remain and the thread lives; otherwise report it dead."""
+        if state["retries"] > 0 and tid in self.cluster.live_threads:
+            state["retries"] -= 1
+            self.cluster.sim.call_after(
+                self.cluster.config.locate_retry_delay, restart)
+            return
+        on_result(False, state["hops"])
+
+    def _carry(self, from_node: int, to_node: int, tid: ThreadId,
+               block: EventBlock, state: dict, on_result: PostResult,
+               lost: Callable[[Message | None], None]) -> None:
+        """Carry the notice itself one step, to ``to_node`` (the path and
+        cached strategies); ``lost`` runs instead when the send gives up
+        or gossip has already confirmed ``to_node`` dead — no message is
+        spent on a node the whole cluster agrees is gone."""
+        if from_node == to_node:
+            self._arrived(to_node, tid, block, state, on_result)
+            return
+        membership = self._membership(from_node)
+        if membership is not None and membership.is_dead(to_node):
+            lost(None)
+            return
+        state["hops"] += 1
+        self._transmit(Message(
+            src=from_node, dst=to_node, mtype=self.post_type, size=128,
+            payload={"tid": tid, "block": block, "state": state,
+                     "on_result": on_result}), lost)
 
     def _transmit(self, message: Message,
                   on_give_up: Callable[[Message], None] | None = None) -> None:
@@ -134,6 +171,7 @@ class PathLocator(BaseLocator):
     """Walk TCB forwarding pointers from the thread's root node."""
 
     name = LOCATE_PATH
+    post_type = MSG_PATH_POST
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -142,34 +180,16 @@ class PathLocator(BaseLocator):
 
     def _hop(self, from_node: int, to_node: int, tid: ThreadId,
              block: EventBlock, state: dict, on_result: PostResult) -> None:
-        if from_node == to_node:
-            self._arrived(to_node, tid, block, state, on_result)
-            return
-
         def hop_lost(message: Message | None) -> None:
             # The next node in the chain is unreachable (crashed): treat
             # it like a stale pointer and restart from the root. If the
             # thread died with that node the liveness check fails and the
             # raiser gets its §7.2 notice.
-            if state["retries"] > 0 and tid in self.cluster.live_threads:
-                state["retries"] -= 1
-                self._retry_later(
-                    lambda: self._hop(from_node, tid.root, tid, block,
-                                      state, on_result))
-                return
-            on_result(False, state["hops"])
+            self._retry_or_fail(tid, state, on_result, lambda: self._hop(
+                from_node, tid.root, tid, block, state, on_result))
 
-        membership = self._membership(from_node)
-        if membership is not None and membership.is_dead(to_node):
-            # Confirmed dead by gossip: fail the hop without spending a
-            # message on a node the whole cluster agrees is gone.
-            hop_lost(None)
-            return
-        state["hops"] += 1
-        self._transmit(Message(
-            src=from_node, dst=to_node, mtype=MSG_PATH_POST, size=128,
-            payload={"tid": tid, "block": block, "state": state,
-                     "on_result": on_result}), hop_lost)
+        self._carry(from_node, to_node, tid, block, state, on_result,
+                    hop_lost)
 
     def on_message(self, message: Message) -> None:
         body = message.payload
@@ -187,19 +207,16 @@ class PathLocator(BaseLocator):
             return
         # Stale pointer or mid-flight thread: restart from the root a
         # bounded number of times before giving up.
-        if state["retries"] > 0 and tid in self.cluster.live_threads:
-            state["retries"] -= 1
-            self._retry_later(
-                lambda: self._hop(node, tid.root, tid, block, state,
-                                  on_result))
-            return
-        on_result(False, state["hops"])
+        self._retry_or_fail(tid, state, on_result, lambda: self._hop(
+            node, tid.root, tid, block, state, on_result))
 
 
 class BroadcastLocator(BaseLocator):
     """Broadcast the event request to every node."""
 
     name = LOCATE_BROADCAST
+    post_type = MSG_BCAST_POST
+    reply_type = MSG_BCAST_REPLY
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -210,16 +227,26 @@ class BroadcastLocator(BaseLocator):
         }
         self._round(tid, block, state, on_result)
 
+    def _candidates(self, from_node: int,
+                    tid: ThreadId) -> tuple[bool, list[int]]:
+        """Whether to try the origin itself, and the nodes to probe."""
+        return True, self._drop_dead(
+            from_node, [n for n in self.cluster.kernels if n != from_node])
+
+    def _no_candidates(self, tid: ThreadId, block: EventBlock, state: dict,
+                       on_result: PostResult) -> None:
+        """Nobody else to probe: every node is the origin or dead."""
+        on_result(False, state["hops"])
+
     def _round(self, tid: ThreadId, block: EventBlock, state: dict,
                on_result: PostResult) -> None:
         from_node = state["from_node"]
-        others = self._drop_dead(
-            from_node, [n for n in self.cluster.kernels if n != from_node])
-        if self._accept(from_node, tid, block):
+        local, others = self._candidates(from_node, tid)
+        if local and self._accept(from_node, tid, block):
             on_result(True, state["hops"])
             return
         if not others:
-            on_result(False, state["hops"])
+            self._no_candidates(tid, block, state, on_result)
             return
         pending = {"found": False, "replies": 0, "expected": len(others)}
         state["hops"] += len(others)
@@ -227,13 +254,18 @@ class BroadcastLocator(BaseLocator):
             payload = {"tid": tid, "block": block, "state": state,
                        "pending": pending, "on_result": on_result}
             self._transmit(Message(
-                src=from_node, dst=node, mtype=MSG_BCAST_POST, size=128,
+                src=from_node, dst=node, mtype=self.post_type, size=128,
                 payload=payload),
                 lambda m, p=payload: self._probe_lost(p))
 
+    def _retry_round(self, tid: ThreadId, block: EventBlock, state: dict,
+                     on_result: PostResult) -> None:
+        self._retry_or_fail(tid, state, on_result, lambda: self._round(
+            tid, block, state, on_result))
+
     def _probe_lost(self, body: dict) -> None:
         """A probe (or its reply) is undeliverable: count a not-found."""
-        self.on_reply(Message(src=-1, dst=-1, mtype=MSG_BCAST_REPLY,
+        self.on_reply(Message(src=-1, dst=-1, mtype=self.reply_type,
                               payload={**body, "found": False}))
 
     def on_message(self, message: Message) -> None:
@@ -247,9 +279,9 @@ class BroadcastLocator(BaseLocator):
                    "on_result": body["on_result"]}
         self._transmit(Message(
             src=node, dst=body["state"]["from_node"],
-            mtype=MSG_BCAST_REPLY, size=64, payload=payload),
+            mtype=self.reply_type, size=64, payload=payload),
             lambda m, p=payload: self.on_reply(
-                Message(src=-1, dst=-1, mtype=MSG_BCAST_REPLY, payload=p)))
+                Message(src=-1, dst=-1, mtype=self.reply_type, payload=p)))
 
     def on_reply(self, message: Message) -> None:
         body = message.payload
@@ -262,95 +294,30 @@ class BroadcastLocator(BaseLocator):
         if pending["found"]:
             body["on_result"](True, state["hops"])
             return
-        tid = body["tid"]
-        if state["retries"] > 0 and tid in self.cluster.live_threads:
-            state["retries"] -= 1
-            self._retry_later(
-                lambda: self._round(tid, body["block"], state,
-                                    body["on_result"]))
-            return
-        body["on_result"](False, state["hops"])
+        self._retry_round(body["tid"], body["block"], state,
+                          body["on_result"])
 
 
-class MulticastLocator(BaseLocator):
-    """Multicast the notice to the thread's member-maintained group."""
+class MulticastLocator(BroadcastLocator):
+    """Multicast the notice to the thread's member-maintained group: a
+    broadcast restricted to the group's nodes."""
 
     name = LOCATE_MULTICAST
+    post_type = MSG_MCAST_POST
+    reply_type = MSG_MCAST_REPLY
 
-    def post(self, from_node: int, tid: ThreadId, block: EventBlock,
-             on_result: PostResult) -> None:
-        state = {
-            "hops": 0,
-            "retries": self.cluster.config.locate_retries,
-            "from_node": from_node,
-        }
-        self._round(tid, block, state, on_result)
-
-    def _round(self, tid: ThreadId, block: EventBlock, state: dict,
-               on_result: PostResult) -> None:
-        from_node = state["from_node"]
+    def _candidates(self, from_node: int,
+                    tid: ThreadId) -> tuple[bool, list[int]]:
         groups = self.cluster.fabric.multicast_groups
         members = sorted(groups.members(tid.multicast_group))
-        if from_node in members and self._accept(from_node, tid, block):
-            on_result(True, state["hops"])
-            return
-        targets = self._drop_dead(
+        return from_node in members, self._drop_dead(
             from_node, [n for n in members if n != from_node])
-        if not targets:
-            self._retry_or_fail(tid, block, state, on_result)
-            return
-        pending = {"found": False, "replies": 0, "expected": len(targets)}
-        state["hops"] += len(targets)
-        for node in targets:
-            payload = {"tid": tid, "block": block, "state": state,
-                       "pending": pending, "on_result": on_result}
-            self._transmit(Message(
-                src=from_node, dst=node, mtype=MSG_MCAST_POST, size=128,
-                payload=payload),
-                lambda m, p=payload: self._probe_lost(p))
 
-    def _probe_lost(self, body: dict) -> None:
-        """A probe (or its reply) is undeliverable: count a not-found."""
-        self.on_reply(Message(src=-1, dst=-1, mtype=MSG_MCAST_REPLY,
-                              payload={**body, "found": False}))
-
-    def _retry_or_fail(self, tid: ThreadId, block: EventBlock, state: dict,
+    def _no_candidates(self, tid: ThreadId, block: EventBlock, state: dict,
                        on_result: PostResult) -> None:
-        if state["retries"] > 0 and tid in self.cluster.live_threads:
-            state["retries"] -= 1
-            self._retry_later(
-                lambda: self._round(tid, block, state, on_result))
-            return
-        on_result(False, state["hops"])
-
-    def on_message(self, message: Message) -> None:
-        body = message.payload
-        node = int(message.dst)
-        found = self._accept(node, body["tid"], body["block"])
-        body["state"]["hops"] += 1  # the reply
-        payload = {"found": found, "tid": body["tid"],
-                   "block": body["block"], "state": body["state"],
-                   "pending": body["pending"],
-                   "on_result": body["on_result"]}
-        self._transmit(Message(
-            src=node, dst=body["state"]["from_node"],
-            mtype=MSG_MCAST_REPLY, size=64, payload=payload),
-            lambda m, p=payload: self.on_reply(
-                Message(src=-1, dst=-1, mtype=MSG_MCAST_REPLY, payload=p)))
-
-    def on_reply(self, message: Message) -> None:
-        body = message.payload
-        pending, state = body["pending"], body["state"]
-        pending["replies"] += 1
-        if body["found"]:
-            pending["found"] = True
-        if pending["replies"] < pending["expected"]:
-            return
-        if pending["found"]:
-            body["on_result"](True, state["hops"])
-            return
-        self._retry_or_fail(body["tid"], body["block"], state,
-                            body["on_result"])
+        # An empty group need not mean a dead thread: the thread may be
+        # between leaving one node and joining the next, so look again.
+        self._retry_round(tid, block, state, on_result)
 
 
 class CachedLocator(BaseLocator):
@@ -371,11 +338,12 @@ class CachedLocator(BaseLocator):
     """
 
     name = LOCATE_CACHED
+    post_type = MSG_CACHED_POST
 
     @property
     def base(self) -> BaseLocator:
         """The fallback strategy instance (shared with the manager)."""
-        return self.manager.base_locator(self.cluster.config.cache_fallback)
+        return self.manager.locators[self.cluster.config.cache_fallback]
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -392,10 +360,6 @@ class CachedLocator(BaseLocator):
 
     def _send(self, from_node: int, to_node: int, tid: ThreadId,
               block: EventBlock, state: dict, on_result: PostResult) -> None:
-        if from_node == to_node:
-            self._arrived(to_node, tid, block, state, on_result)
-            return
-
         def hint_dead(message: Message | None) -> None:
             # The hinted (or forwarded-to) node is unreachable — most
             # likely crashed. The hint is worse than stale: drop it at
@@ -405,17 +369,8 @@ class CachedLocator(BaseLocator):
                 .location_hints.invalidate(tid)
             self._fallback(tid, block, state, on_result)
 
-        membership = self._membership(from_node)
-        if membership is not None and membership.is_dead(to_node):
-            # Confirmed dead by gossip: skip the doomed direct send and
-            # go straight to the fallback strategy.
-            hint_dead(None)
-            return
-        state["hops"] += 1
-        self._transmit(Message(
-            src=from_node, dst=to_node, mtype=MSG_CACHED_POST, size=128,
-            payload={"tid": tid, "block": block, "state": state,
-                     "on_result": on_result}), hint_dead)
+        self._carry(from_node, to_node, tid, block, state, on_result,
+                    hint_dead)
 
     def on_message(self, message: Message) -> None:
         body = message.payload
@@ -461,14 +416,10 @@ class CachedLocator(BaseLocator):
         self.base.post(state["from_node"], tid, block, relay)
 
 
-def make_locator(name: str, manager: "EventManager") -> BaseLocator:
-    """Instantiate the configured strategy."""
-    if name == LOCATE_PATH:
-        return PathLocator(manager)
-    if name == LOCATE_BROADCAST:
-        return BroadcastLocator(manager)
-    if name == LOCATE_MULTICAST:
-        return MulticastLocator(manager)
-    if name == LOCATE_CACHED:
-        return CachedLocator(manager)
-    raise KernelError(f"unknown locator {name!r}")
+#: config name -> strategy; the event manager builds one of each
+LOCATORS: dict[str, type[BaseLocator]] = {
+    LOCATE_PATH: PathLocator,
+    LOCATE_BROADCAST: BroadcastLocator,
+    LOCATE_MULTICAST: MulticastLocator,
+    LOCATE_CACHED: CachedLocator,
+}

@@ -116,6 +116,44 @@ class TestDeterminism:
         assert a.digest != b.digest
 
 
+_OVERLOAD_DROP = dict(posts=80, overload=2.0, admission_high=8,
+                      flow_credits=8, crash_period=0.3, settle=10.0,
+                      overload_policy="drop")
+
+#: digests recorded before the event layer's duplicate paths were
+#: merged: they cover the broadcast/multicast probe locators, thread
+#: and object poison retry/quarantine, and the drop/defer shed paths,
+#: none of which the other frozen digests reach
+PINNED_DIGESTS = [
+    (ChaosSpec(seed=5, locator="broadcast", posts=60, crash_period=0.3),
+     "bea6bc278dd4236f60da127c767a5e3fb48892c31143b4957391b48e88433e12"),
+    (ChaosSpec(seed=5, locator="multicast", posts=60, crash_period=0.3),
+     "157a01baa4e1d6e0474dbcaa433c613a581559b1b60007d169731ca8c51c0988"),
+    (ChaosSpec(seed=11, posts=40, crash_period=None,
+               handler_faults={"poison": 0.2, "raise": 0.1, "hang": 0.05},
+               handler_deadline=0.2, poison_threshold=3, handler_retries=1,
+               breaker_threshold=3, heartbeat_interval=0.02),
+     "e58bae0fe071e3b8719fca884b2da2af38b5a994c8ce0bd68788f8905f41be35"),
+    (ChaosSpec(seed=11, posts=40, durable=True,
+               handler_faults={"poison": 0.2, "raise": 0.1},
+               poison_threshold=3),
+     "4d15be9a5afbb35c9f5d7a6dbcd7f4ae83acde5786499f8a61b0cca5672923ec"),
+    (ChaosSpec(**_OVERLOAD_DROP),
+     "7953149a1cd7a51d0a792f1f2762f908bfe17d8bce4c6edb54e21eb40669c162"),
+    (ChaosSpec(**{**_OVERLOAD_DROP, "durable": True,
+                  "overload_policy": "defer"}),
+     "de357bfabdf492a1278bc585bda32b48eca4481ad42024896c270564b5ec94bd"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,digest", PINNED_DIGESTS,
+    ids=["broadcast", "multicast", "thread-poison", "object-poison",
+         "shed-drop", "shed-defer"])
+def test_pinned_digest(spec, digest):
+    assert run_chaos(spec).digest == digest
+
+
 class TestReportShape:
     def test_report_metrics(self):
         report = run_chaos(ChaosSpec(seed=4, posts=30, drop_rate=0.1,

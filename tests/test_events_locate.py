@@ -157,6 +157,23 @@ class TestMulticastMaintenance:
         cluster.run()
         assert cluster.fabric.multicast_groups.members(group) == frozenset()
 
+    def test_post_during_migration_retries_instead_of_failing(self):
+        """Raised at the root while the thread's invocation is in flight
+        to node 1: the group holds only the origin, so there is nobody
+        to probe. That must retry, not report a live thread dead."""
+        cluster = make_cluster(n_nodes=3, locator="multicast")
+        here = cluster.create_object(Sleeper, node=0)
+        there = cluster.create_object(Sleeper, node=1)
+        thread = cluster.spawn(here, "hop_and_hold", [there], 1000.0, at=0)
+        cluster.run(until=5e-4)
+        group = thread.tid.multicast_group
+        assert cluster.fabric.multicast_groups.members(group) == {0}
+        future = cluster.raise_and_wait("TERMINATE", thread.tid,
+                                        from_node=0)
+        cluster.run()
+        assert not future.failed
+        assert thread.state == "terminated"
+
 
 class TwoStage(DistObject):
     """Holds at its own node, then migrates into ``next_cap`` and holds

@@ -9,11 +9,25 @@ restores service.
 
 import pytest
 
-from repro import Cluster, ClusterConfig, Decision, DistObject, entry
+from repro import (
+    Cluster,
+    ClusterConfig,
+    Decision,
+    DistObject,
+    entry,
+    on_event,
+)
 from repro.errors import RpcTimeout
 from repro.net.faults import FaultPlan
 from repro.sim.rng import RngRegistry
 from tests.conftest import Echo, Sleeper
+
+
+class PingAck(DistObject):
+    @on_event("PING")
+    def on_ping(self, ctx, block):
+        yield ctx.compute(0)
+        return "pong"
 
 
 def make_faulty_cluster(plan=None, **cfg):
@@ -72,6 +86,18 @@ class TestEventsUnderFaults:
         cluster.run(until=5.0)
         with pytest.raises(RpcTimeout):
             future.result()
+
+    def test_sync_raise_guard_cancelled_once_answered(self):
+        """The guard timer dies with the wait it guards: an answered
+        raise_and_wait must not keep the clock running to the timeout."""
+        cluster = make_faulty_cluster(n_nodes=2, sync_raise_timeout=5.0)
+        cluster.register_event("PING")
+        cap = cluster.create_object(PingAck, node=1)
+        future = cluster.raise_and_wait("PING", cap, from_node=0)
+        cluster.run()
+        assert future.result() == "pong"
+        assert cluster.now < 5.0
+        assert cluster.scheduler_stats()["cancellations"] == 1
 
     def test_async_raise_after_heal_succeeds(self):
         plan = FaultPlan()

@@ -3,6 +3,8 @@ gate and its shedding policies, the open-loop workload generator, the
 failure-detector-gated outbox flush — and the knobs-off guarantee that
 none of it perturbs existing runs."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -10,6 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DistObject, on_event
 from repro.bench.chaos import ChaosSpec, run_chaos
+from repro.bench.overload import (
+    OverloadSpec,
+    deterministic_view,
+    run_overload,
+)
 from repro.bench.workload import (
     FANOUT,
     WorkloadSpec,
@@ -284,6 +291,19 @@ class TestSheddingPolicies:
         assert store["deferred"] > 0
         assert store["redelivered"] >= store["deferred"]
         assert cluster.supervision_stats()["admission_shed_deferred"] > 0
+
+    def test_degrade_run_pinned(self):
+        """Chaos cannot reach the degrade path (non-durable chaos posts
+        target threads), so pin a degrade-heavy overload run instead;
+        the hash was recorded before the event layer's notice paths
+        were merged."""
+        row = run_overload(OverloadSpec(duration=0.5, offered_x=2.0,
+                                        policy="degrade"), control=True)
+        view = deterministic_view(row)
+        assert view["shed_degraded"] == 1271
+        assert hashlib.sha256(json.dumps(view, sort_keys=True).encode()
+                              ).hexdigest() == (
+            "aa0f86f690c6b19a26d5ae1b060ba360b243ee7c45e7b44201abe7859a8c4041")
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**16),
