@@ -42,6 +42,14 @@ tables use.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Any
+
+from repro.kernel.config import OVERLOAD_DEGRADE
+from repro.objects.capability import Capability
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.events.block import EventBlock
+
 ADMIT = "admit"
 DROP = "drop"
 DEGRADE = "degrade"
@@ -143,5 +151,101 @@ class AdmissionGate:
                 "shedding": int(self.shedding)}
 
 
+class AdmissionControl:
+    """Cluster-wide admission policy over one gate per node: verdict,
+    charge, release and stats. With ``admission_high`` unset there are
+    no gates and the delivery engine never asks for a verdict."""
+
+    def __init__(self, cluster: Any) -> None:
+        self.cluster = cluster
+        config = cluster.config
+        self.enabled = config.admission_high is not None
+        self.gates: dict[int, AdmissionGate] = {}
+        if self.enabled:
+            low = config.effective_admission_low()
+            self.gates = {node: AdmissionGate(node, config.admission_high,
+                                              low, config.tenant_weights)
+                          for node in cluster.kernels}
+        self.degrade = config.overload_policy == OVERLOAD_DEGRADE
+
+    def verdict(self, from_node: int, block: "EventBlock", target: Any,
+                members: Any, durable: bool) -> str:
+        """Gate one raise of ``block`` from ``from_node``.
+
+        The gate charged is the *admission node's*: the target object's
+        home for object posts (the node whose handler queue the post
+        occupies), the raiser's node otherwise. Tenant identity is the
+        raiser node, so weighted-fair shares apply across the raisers
+        feeding one hot node. Every shed is counted here; drops and
+        deferrals are also traced and reported to ``events.on_shed``.
+        """
+        gate = self.gates.get(target.home if isinstance(target, Capability)
+                              else from_node)
+        if gate is None:
+            return ADMIT
+        tenant = (block.raiser_node if block.raiser_node is not None
+                  else from_node)
+        n = len(members) if members is not None else 1
+        if n == 0 or gate.admit(tenant, n):
+            return ADMIT
+        if durable:
+            # Durable posts are never dropped: the journal already
+            # guarantees them, so shedding degrades to deferral.
+            gate.counters["shed_deferred"] += n
+            verdict = DEFER
+        elif self.degrade and isinstance(target, Capability):
+            # Only object posts degrade: the reliable retransmit loop is
+            # replaced by one datagram plus a deadline backstop.
+            gate.counters["shed_degraded"] += n
+            block.degraded = True
+            return DEGRADE
+        else:
+            # drop policy, defer policy on a non-durable post, or degrade
+            # of a thread-targeted post (the locate handshake *is* the
+            # delivery guarantee for threads — nothing to degrade to).
+            gate.counters["shed_dropped"] += n
+            verdict = DROP
+        self.cluster.tracer.emit("event", "shed", event=block.event,
+                                 target=str(target), action=verdict,
+                                 node=from_node)
+        hook = self.cluster.events.on_shed
+        if hook is not None:
+            hook(block, target, verdict)
+        return verdict
+
+    def charge(self, gate_node: int, blocks: list["EventBlock"]) -> None:
+        """Charge each admitted block to ``gate_node``'s gate."""
+        gate = self.gates.get(gate_node)
+        if gate is None:
+            return
+        for block in blocks:
+            tenant = (block.raiser_node if block.raiser_node is not None
+                      else gate_node)
+            gate.charge(tenant)
+            block._admission = (gate_node, tenant)
+
+    def release(self, block: "EventBlock") -> None:
+        """Idempotently return the block's charge (handling concluded:
+        executed, noticed, quarantined, or timed out)."""
+        token = block._admission
+        if token is None:
+            return
+        block._admission = None
+        self.gates[token[0]].release(token[1])
+
+    def stats(self) -> dict[str, int]:
+        """Cluster-wide gate counters plus live/high-water depth (zeros
+        when admission control is off)."""
+        totals = dict.fromkeys(GATE_COUNTERS + (
+            "gate_depth", "gate_depth_hwm", "shed_windows"), 0)
+        for gate in self.gates.values():
+            for name in GATE_COUNTERS:
+                totals[name] += gate.counters[name]
+            totals["gate_depth"] += gate.depth
+            totals["gate_depth_hwm"] += gate.depth_hwm
+            totals["shed_windows"] += gate.shed_windows
+        return totals
+
+
 __all__ = ["ADMIT", "DROP", "DEGRADE", "DEFER", "GATE_COUNTERS",
-           "AdmissionGate"]
+           "AdmissionControl", "AdmissionGate"]

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
-    BuddyUnavailableError,
     DeadThreadError,
-    EventQuarantinedError,
     HandlerTimeout,
-    NodeCrashedError,
     RpcTimeout,
     EventError,
     HandlerContextError,
@@ -39,19 +36,11 @@ from repro.errors import (
     UnknownObjectError,
 )
 from repro.events import defaults, names
-from repro.events.admission import (
-    ADMIT,
-    DEFER,
-    DEGRADE,
-    DROP,
-    GATE_COUNTERS,
-    AdmissionGate,
-)
+from repro.events.admission import ADMIT, DEFER, DROP, AdmissionControl
 from repro.events.block import EventBlock
 from repro.events.handlers import Decision, HandlerContext, HandlerRegistration
-from repro.events.supervise import HandlerSupervisor
+from repro.events.supervise import RETRYABLE_INVOKE_ERRORS, HandlerSupervisor
 from repro.events.locate import LOCATORS
-from repro.kernel.config import OVERLOAD_DEGRADE
 from repro.net.message import Message
 from repro.net.stats import LatencyReservoir
 from repro.objects.capability import Capability
@@ -77,12 +66,6 @@ MSG_RESUME = "event.resume"
 
 _proc_names = itertools.count(1)
 
-#: buddy-invocation failures worth retrying / feeding the breaker: the
-#: handler object's node crashed, the reliable send gave up, an RPC leg
-#: timed out, or the failure detector failed the call fast
-RETRYABLE_INVOKE_ERRORS = (NodeCrashedError, UndeliverableError, RpcTimeout,
-                           BuddyUnavailableError)
-
 
 class EventManager:
     """Cluster-wide event facility (per-node state lives in the kernels)."""
@@ -95,9 +78,13 @@ class EventManager:
         self.locators = {name: cls(self) for name, cls in LOCATORS.items()}
         self.locator = self.locators[cluster.config.locator]
         for kernel in cluster.kernels.values():
-            kernel.register_message_handler(MSG_POST_OBJECT,
-                                            self._on_post_object)
-            kernel.register_message_handler(MSG_RESUME, self._on_resume)
+            kernel.register_message_handler(
+                MSG_POST_OBJECT, lambda m: self._handle_object_post(
+                    int(m.dst), m.payload["block"], m.payload["oid"]))
+            kernel.register_message_handler(
+                MSG_RESUME, lambda m: self._arrive_resume(
+                    m.payload["token"], m.payload["value"],
+                    m.payload["error"]))
         #: block_id -> pending synchronous-raise record
         self._sync_waits: dict[int, dict] = {}
         #: delivery statistics for the benchmarks
@@ -120,17 +107,9 @@ class EventManager:
         #: node, so accounting harnesses record it here, not by scanning
         #: queues at end of run
         self.on_quarantine: Any = None
-        #: overload control: one admission gate per node when the
-        #: ``admission_high`` knob is on, else None (zero bookkeeping)
-        config = cluster.config
-        if config.admission_high is not None:
-            self.admission: dict[int, AdmissionGate] | None = {
-                node: AdmissionGate(node, config.admission_high,
-                                    config.effective_admission_low(),
-                                    config.tenant_weights)
-                for node in cluster.kernels}
-        else:
-            self.admission = None
+        #: overload control: verdict, charge, release and stats over one
+        #: gate per node (disabled unless ``admission_high`` is set)
+        self.admission = AdmissionControl(cluster)
         #: observer hook ``(block, target, action) -> None`` invoked when
         #: the admission gate sheds a post (action: drop/degrade/defer);
         #: the overload bench uses it to account every shed post
@@ -144,10 +123,6 @@ class EventManager:
         #: a bounded reservoir so long runs stop accumulating memory
         self.delivery_latencies = LatencyReservoir(
             cluster.config.latency_reservoir_capacity)
-
-    def delivery_latency_summary(self) -> dict[str, float]:
-        """count/mean/p50/p99 over the raise->deliver latency samples."""
-        return self.delivery_latencies.summary()
 
     # ==================================================================
     # raising (§5.3)
@@ -263,15 +238,10 @@ class EventManager:
         members = (self.cluster.groups.sorted_members(target)
                    if isinstance(target, GroupId) else None)
         verdict = ADMIT
-        if self.admission is not None:
-            verdict = self._admission_verdict(from_node, block, target,
-                                              members, durable)
-            if verdict in (DROP, DEFER):
-                self.cluster.tracer.emit("event", "shed", event=block.event,
-                                         target=str(target), action=verdict,
-                                         node=from_node)
-                if self.on_shed is not None:
-                    self.on_shed(block, target, verdict)
+        admission = self.admission
+        if admission.enabled:
+            verdict = admission.verdict(from_node, block, target, members,
+                                        durable)
             if verdict == DROP:
                 self.undeliverable += 1
                 block._resume_token = block.block_id
@@ -279,11 +249,6 @@ class EventManager:
                     f"{block.event} -> {target} shed by admission control"),
                     from_node=from_node)
                 return 1
-            if verdict == DEGRADE:
-                # Only non-durable object posts degrade: the reliable
-                # retransmit loop is replaced by one datagram plus a
-                # deadline backstop (armed in _post_object).
-                block.degraded = True
         if isinstance(target, Capability):
             gate_node, kind, home = target.home, "object", target.home
             blocks = [block]
@@ -307,9 +272,8 @@ class EventManager:
             for entry in self._journal(store, blocks, kind, home, members):
                 store.defer(entry.entry_id)
             return len(blocks)
-        if self.admission is not None:
-            for member_block in blocks:
-                self._charge_admission(gate_node, member_block)
+        if admission.enabled:
+            admission.charge(gate_node, blocks)
         if store is not None and blocks:
             self._journal(store, blocks, kind, home, members)
         if kind == "object":
@@ -349,86 +313,6 @@ class EventManager:
                 [(b, kind, home) for b in blocks])
         return [store.journal_post(blocks[0], kind, home)]
 
-    # ------------------------------------------------------------------
-    # admission control (overload shedding)
-    # ------------------------------------------------------------------
-
-    def _admission_verdict(self, from_node: int, block: EventBlock,
-                           target: Any, members: Any,
-                           durable: bool) -> str:
-        """Gate one raise; called only when admission control is on.
-
-        The gate charged is the *admission node's*: the target object's
-        home for object posts (the node whose handler queue the post
-        occupies), the raiser's node otherwise. Tenant identity is the
-        raiser node, so weighted-fair shares apply across the raisers
-        feeding one hot node.
-        """
-        gate_node = (target.home if isinstance(target, Capability)
-                     else from_node)
-        gate = self.admission.get(gate_node)
-        if gate is None:
-            return ADMIT
-        tenant = (block.raiser_node if block.raiser_node is not None
-                  else from_node)
-        n = len(members) if members is not None else 1
-        if n == 0 or gate.admit(tenant, n):
-            return ADMIT
-        if durable:
-            # Durable posts are never dropped: the journal already
-            # guarantees them, so shedding degrades to deferral.
-            gate.counters["shed_deferred"] += n
-            return DEFER
-        if (self.cluster.config.overload_policy == OVERLOAD_DEGRADE
-                and isinstance(target, Capability)):
-            gate.counters["shed_degraded"] += n
-            return DEGRADE
-        # drop policy, defer policy on a non-durable post, or degrade of
-        # a thread-targeted post (the locate handshake *is* the delivery
-        # guarantee for threads — nothing to degrade to): shed outright.
-        gate.counters["shed_dropped"] += n
-        return DROP
-
-    def _charge_admission(self, gate_node: int, block: EventBlock) -> None:
-        if self.admission is None:
-            return
-        gate = self.admission.get(gate_node)
-        if gate is None:
-            return
-        tenant = (block.raiser_node if block.raiser_node is not None
-                  else gate_node)
-        gate.charge(tenant)
-        block._admission = (gate_node, tenant)
-
-    def _release_admission(self, block: EventBlock) -> None:
-        """Idempotently return the block's admission charge (handling
-        concluded: executed, noticed, quarantined, or timed out)."""
-        token = block._admission
-        if token is None or self.admission is None:
-            return
-        block._admission = None
-        gate = self.admission.get(token[0])
-        if gate is not None:
-            gate.release(token[1])
-
-    def admission_stats(self) -> dict[str, int]:
-        """Cluster-wide admission counters plus live/high-water depth
-        (zeros when the gate is off; aggregated by
-        :meth:`Cluster.supervision_stats`)."""
-        totals = {name: 0 for name in GATE_COUNTERS}
-        totals["gate_depth"] = 0
-        totals["gate_depth_hwm"] = 0
-        totals["shed_windows"] = 0
-        if self.admission is None:
-            return totals
-        for gate in self.admission.values():
-            for name in GATE_COUNTERS:
-                totals[name] += gate.counters[name]
-            totals["gate_depth"] += gate.depth
-            totals["gate_depth_hwm"] += gate.depth_hwm
-            totals["shed_windows"] += gate.shed_windows
-        return totals
-
     def _post_thread(self, from_node: int, tid: ThreadId,
                      block: EventBlock) -> None:
         # Local fast path: if the target's innermost activation is on the
@@ -445,13 +329,16 @@ class EventManager:
 
         # Once-guard: under loss and retransmission a locator may report
         # twice (e.g. a retried probe succeeds after the backstop already
-        # declared failure); only the first verdict counts.
-        state = {"done": False}
+        # declared failure); only the first verdict counts, and it
+        # cancels the deadline backstop.
+        state = {"done": False, "timer": None}
 
         def on_result(delivered: bool, hops: int) -> None:
             if state["done"]:
                 return
             state["done"] = True
+            if state["timer"] is not None:
+                state["timer"].cancel()
             self.cluster.tracer.emit(
                 "event", "routed" if delivered else "dead-target",
                 event=block.event, tid=str(tid), hops=hops)
@@ -461,16 +348,17 @@ class EventManager:
         deadline = self.cluster.config.post_deadline
         if deadline is not None:
             def backstop() -> None:
+                state["timer"] = None  # fired: nothing left to cancel
                 if not state["done"]:
                     self.undeliverable += 1
                     on_result(False, -1)
-            self.cluster.sim.call_after(deadline, backstop)
+            state["timer"] = self.cluster.sim.call_after(deadline, backstop)
         self.locator.post(from_node, tid, block, on_result)
 
     def _dead_target(self, block: EventBlock, tid: Any) -> None:
         """§7.2: the sender of an event to a destroyed thread is notified."""
         self.dead_targets += 1
-        self._release_admission(block)
+        self.admission.release(block)
         # Threads are volatile (unlike objects): a durable post to a dead
         # thread resolves through this notice, never by redelivery — a
         # respawned thread is a *different* thread.
@@ -575,9 +463,9 @@ class EventManager:
                    errors: int = 0,
                    last_error: BaseException | None = None) -> None:
         if not thread.alive:
-            self._complete_sync(block, None,
-                                DeadThreadError(f"{thread.tid} died"),
-                                from_node=thread.current_node)
+            self.complete_sync(block, None,
+                               DeadThreadError(f"{thread.tid} died"),
+                               from_node=thread.current_node)
             return
         if index >= len(chain):
             # Poison policy: an *entire* chain of failures (every
@@ -588,7 +476,7 @@ class EventManager:
             # and breaker skips are not failures. A quarantined block
             # falls through to the default decision like an unsupervised
             # one.
-            if chain and errors >= len(chain) and self._poison_step(
+            if chain and errors >= len(chain) and self.supervisor.chain_failed(
                     thread.current_node, block, last_error,
                     lambda n: f"{block.event} quarantined after {n} chain "
                               f"failures",
@@ -617,51 +505,6 @@ class EventManager:
 
         self._execute_registration(thread, registration, block, done)
 
-    def _poison_step(self, node: int, block: EventBlock,
-                     error: BaseException | None,
-                     describe: Callable[[int], str],
-                     retry: Callable[..., None], *args: Any,
-                     **where: Any) -> str | None:
-        """Every handler for ``block`` failed: schedule ``retry(*args)``
-        with exponential backoff or, at ``poison_threshold``, quarantine
-        the block: dead-letter it on ``node`` (the delivering node, or
-        the object's home) and fail its synchronous raiser.
-
-        Returns the action taken, or None when the poison policy is off
-        (the caller concludes as it would without supervision).
-        ``describe(failures)`` words the raiser's quarantine error;
-        ``where`` names the handler's owner (tid or oid) in the trace.
-        """
-        action, count = self.supervisor.chain_failed(block)
-        kernel = self.cluster.kernels[node]
-        if action == "retry":
-            self.supervisor.counters["chain_retries"] += 1
-            self.cluster.tracer.emit("supervise", "chain-retry",
-                                     event=block.event, attempt=count,
-                                     **where)
-            if block.durable_id is not None:
-                # Retract an object run's applied marker (thread posts
-                # carry none): if the node dies during the backoff, the
-                # origin's redelivery must re-run the handler, not be
-                # suppressed.
-                kernel.store.unmark_applied(block.durable_id)
-            delay = self.cluster.config.handler_backoff * (2 ** (count - 1))
-            self.cluster.sim.call_after(delay, retry, *args)
-        elif action == "quarantine":
-            self.supervisor.counters["quarantined"] += 1
-            kernel.dead_letters.add(block, "poison", error=error,
-                                    failures=count)
-            if block.durable_id is not None:
-                # Resolve the origin's outbox as quarantined (not
-                # delivered) and strip the id so no later conclusion
-                # re-acks it.
-                kernel.store.post_quarantined(block.durable_id)
-                block.durable_id = None
-            self._complete_sync(block, None, EventQuarantinedError(
-                describe(count)), from_node=node)
-            block.synchronous = False  # the raiser has been resumed
-        return action
-
     def _retry_chain(self, thread: DThread, block: EventBlock) -> None:
         if not thread.alive or thread.delivering_block is not block:
             # The thread died while the retry was pending (thread_gone
@@ -684,17 +527,13 @@ class EventManager:
                 kernel.store.post_executed(block.durable_id)
         # The synchronous raiser is resumed when handling concludes,
         # whatever the fate of the target thread.
-        self._complete_sync(block, value, None,
-                            from_node=thread.current_node)
+        self.complete_sync(block, value, None,
+                           from_node=thread.current_node)
         if decision is Decision.TERMINATE:
             thread.suspended_by_event = False
             self.cluster.invoker.terminate_thread(
                 thread, reason=f"event {block.event}")
-            return
-        self._continue_after_notice(thread)
-
-    def _continue_after_notice(self, thread: DThread) -> None:
-        if thread.pending_notices:
+        elif thread.pending_notices:
             self._next_notice(thread)
         else:
             self._end_suspension(thread)
@@ -738,11 +577,9 @@ class EventManager:
                         registration: HandlerRegistration,
                         block: EventBlock, node: int, done,
                         attempt: int) -> None:
-        cfg = self.cluster.config
-        tracer = self.cluster.tracer
+        supervisor = self.supervisor
         oid = registration.target_oid
-        if not self.supervisor.breaker_allows(tracer, oid, block.event,
-                                              self.cluster.sim.now):
+        if not supervisor.breaker_allows(oid, block.event):
             # Open breaker: skip this registration, fall down the chain.
             done(Decision.PROPAGATE, None, None)
             return
@@ -756,30 +593,23 @@ class EventManager:
         except BaseException as exc:  # noqa: BLE001 - bad registration
             done(Decision.PROPAGATE, None, exc)
             return
-        kernel = self.cluster.kernels.get(node)
-        if (kernel is not None and obj.cap.home != node
-                and kernel.failure.is_suspected(obj.cap.home)):
-            # Suspected buddy node: fail fast instead of waiting out the
-            # reliable channel's give-up; feeds the retry/breaker policy.
-            self.supervisor.counters["fast_fails"] += 1
-            tracer.emit("supervise", "fast-fail", oid=oid,
-                        event=block.event, home=obj.cap.home)
-            self._invoke_failed(thread, registration, block, node, done,
-                                attempt, BuddyUnavailableError(
-                                    f"node {obj.cap.home} is suspected"))
-            return
 
         def on_done(decision: Decision, value: Any,
                     error: BaseException | None) -> None:
-            if error is not None and isinstance(error,
-                                                RETRYABLE_INVOKE_ERRORS):
-                self._invoke_failed(thread, registration, block, node,
-                                    done, attempt, error)
+            if isinstance(error, RETRYABLE_INVOKE_ERRORS):
+                supervisor.invoke_failed(
+                    oid, block.event, attempt, error, done,
+                    self._execute_invoke, thread, registration, block,
+                    node, done)
                 return
             if error is None:
-                self.supervisor.invoke_succeeded(tracer, oid, block.event)
+                supervisor.invoke_succeeded(oid, block.event)
             done(decision, value, error)
 
+        error = supervisor.fast_fail(node, obj.cap.home, oid, block.event)
+        if error is not None:
+            on_done(Decision.PROPAGATE, None, error)
+            return
         fn_name = registration.fn_name
 
         def body(ctx):
@@ -790,30 +620,9 @@ class EventManager:
             return result
 
         self.cluster.sim.call_after(
-            cfg.surrogate_cost, self._run_surrogate, thread, body, block,
-            node, on_done, self.supervisor.effective_deadline(registration))
-
-    def _invoke_failed(self, thread: DThread,
-                       registration: HandlerRegistration, block: EventBlock,
-                       node: int, done, attempt: int,
-                       error: BaseException) -> None:
-        """A buddy invocation failed with a retryable error."""
-        cfg = self.cluster.config
-        self.supervisor.invoke_failed(self.cluster.tracer,
-                                      registration.target_oid, block.event,
-                                      self.cluster.sim.now)
-        if attempt < cfg.handler_retries:
-            self.supervisor.counters["handler_retries"] += 1
-            self.cluster.tracer.emit("supervise", "handler-retry",
-                                     oid=registration.target_oid,
-                                     event=block.event, attempt=attempt + 1,
-                                     error=repr(error))
-            delay = cfg.handler_backoff * (2 ** attempt)
-            self.cluster.sim.call_after(delay, self._execute_invoke, thread,
-                                        registration, block, node, done,
-                                        attempt + 1)
-            return
-        done(Decision.PROPAGATE, None, error)
+            self.cluster.config.surrogate_cost, self._run_surrogate, thread,
+            body, block, node, on_done,
+            supervisor.effective_deadline(registration))
 
     def _run_surrogate(self, thread: DThread, body, block: EventBlock,
                        node: int, done, deadline: float | None) -> None:
@@ -822,53 +631,28 @@ class EventManager:
         surrogate = self.cluster.invoker.adopt_loop_thread(
             node, body, f"handler:{block.event}", KIND_SURROGATE,
             attributes=thread.attributes, impersonate=thread.tid)
-        self._watch_surrogate(surrogate, thread, block, deadline)
+        watchdog = None
+        if deadline is not None:
+            def expire(error: HandlerTimeout) -> None:
+                # Cancelling the surrogate fails its completion future;
+                # _surrogate_done turns that into PROPAGATE so the chain
+                # falls through (LIFO order preserved).
+                self.cluster.invoker.destroy_thread_abrupt(surrogate, error)
+                self.supervisor.raise_handler_timeout(thread, block,
+                                                      deadline)
+
+            watchdog = self.supervisor.watch(
+                deadline, surrogate, surrogate.completion,
+                f"handler for {block.event}", expire, event=block.event,
+                tid=str(thread.tid))
         surrogate.completion.add_done_callback(
-            lambda fut: self._surrogate_done(fut, done, thread, block))
-
-    def _watch_surrogate(self, surrogate: DThread, thread: DThread,
-                         block: EventBlock,
-                         deadline: float | None) -> None:
-        """Arm the watchdog on one surrogate handler run."""
-        if deadline is None:
-            return
-
-        def expire() -> None:
-            if surrogate.completion.done or not surrogate.alive:
-                return
-            self.supervisor.counters["handler_timeouts"] += 1
-            self.cluster.tracer.emit("supervise", "handler-timeout",
-                                     event=block.event,
-                                     tid=str(thread.tid), deadline=deadline)
-            # Cancelling the surrogate fails its completion future with
-            # the timeout; _surrogate_done turns that into PROPAGATE so
-            # the chain falls through (LIFO order preserved).
-            self.cluster.invoker.destroy_thread_abrupt(
-                surrogate, HandlerTimeout(
-                    f"handler for {block.event} exceeded {deadline}s"))
-            self._raise_handler_timeout(thread, block, deadline)
-
-        self.cluster.sim.call_after(deadline, expire)
-
-    def _raise_handler_timeout(self, thread: DThread, block: EventBlock,
-                               deadline: float) -> None:
-        """Raise the HANDLER_TIMEOUT system event on the owning thread
-        (only when it subscribed — mirrors the TARGET_DEAD gating, so
-        unsupervised runs see zero extra notices)."""
-        if not thread.alive or block.event == names.HANDLER_TIMEOUT:
-            return
-        if not thread.attributes.handlers_for(names.HANDLER_TIMEOUT):
-            return
-        node = thread.current_node
-        notice = EventBlock(event=names.HANDLER_TIMEOUT, raiser_tid=None,
-                            raiser_node=node, target=thread.tid,
-                            user_data={"event": block.event,
-                                       "deadline": deadline},
-                            raised_at=self.cluster.sim.now)
-        self.enqueue_for_thread(node, thread.tid, notice)
+            lambda fut: self._surrogate_done(fut, done, thread, block,
+                                             watchdog))
 
     def _surrogate_done(self, fut: SimFuture[Any], done, thread: DThread,
-                        block: EventBlock) -> None:
+                        block: EventBlock, watchdog: Any = None) -> None:
+        if watchdog is not None:
+            watchdog.cancel()  # the handler concluded (or timed out)
         value, error = self._outcome(fut)
         if error is None:
             decision, value = self._parse_decision(value)
@@ -939,7 +723,7 @@ class EventManager:
         def backstop() -> None:
             if block._admission is None:
                 return  # concluded in time
-            self._release_admission(block)
+            self.admission.release(block)
             self.undeliverable += 1
             self._notify_raiser(block, cap, UndeliverableError(
                 f"degraded {block.event} to object {cap.oid} unresolved "
@@ -960,17 +744,10 @@ class EventManager:
                 origin.store.on_give_up(block.durable_id)
                 return
         self.undeliverable += 1
-        # Keep the block inspectable instead of dropping it after the
-        # §7.2-style notice: dead-letter it on the raiser's node.
-        # journal=False — this path exists in knobs-off configurations
-        # too and must not perturb durable runs' journal accounting.
-        origin = self.cluster.kernels.get(block.raiser_node or 0)
-        if origin is not None:
-            self.supervisor.counters["dead_letter_undeliverable"] += 1
-            origin.dead_letters.add(
-                block, "undeliverable",
-                error=f"object {cap.oid} on node {cap.home} unreachable",
-                journal=False)
+        # Keep the block inspectable after the §7.2-style notice.
+        self.supervisor.dead_letter_undeliverable(
+            block.raiser_node or 0, block,
+            f"object {cap.oid} on node {cap.home} unreachable")
         self._notify_raiser(block, cap, UndeliverableError(
             f"{block.event} to object {cap.oid} on node {cap.home} "
             f"undeliverable"), from_node=block.raiser_node or 0)
@@ -982,12 +759,7 @@ class EventManager:
         synchronous raiser."""
         if self.on_undeliverable is not None:
             self.on_undeliverable(block, target)
-        self._complete_sync(block, None, error, from_node=from_node)
-
-    def _on_post_object(self, message: Message) -> None:
-        body = message.payload
-        self._handle_object_post(int(message.dst), body["block"],
-                                 body["oid"])
+        self.complete_sync(block, None, error, from_node=from_node)
 
     def redeliver_entry(self, node: int, entry: "OutboxEntry") -> None:
         """Re-dispatch a pending outbox entry from its origin ``node``.
@@ -1062,7 +834,7 @@ class EventManager:
             # definitively processed — ack so the origin stops retrying.
             if block.durable_id is not None:
                 kernel.store.post_executed(block.durable_id)
-            self._complete_sync(block, None, UnknownObjectError(
+            self.complete_sync(block, None, UnknownObjectError(
                 f"object {oid} no longer exists"), from_node=node)
             return
         fn = kernel.objects.object_handler_fn(obj, block.event)
@@ -1084,7 +856,7 @@ class EventManager:
                 # re-run could double its side effects. GeneratorExit
                 # excluded: that is the node crashing mid-run, not a
                 # handler bug — recovery redelivery deals with it.
-                if self._poison_step(
+                if self.supervisor.chain_failed(
                         node, block, error,
                         lambda n: f"{block.event} to object {oid} "
                                   f"quarantined after {n} failures",
@@ -1097,7 +869,7 @@ class EventManager:
                 kernel.objects.destroy(oid)
             if block.durable_id is not None:
                 kernel.store.post_executed(block.durable_id)
-            self._complete_sync(block, value, error, from_node=node)
+            self.complete_sync(block, value, error, from_node=node)
 
         done.add_done_callback(finished)
 
@@ -1113,9 +885,6 @@ class EventManager:
                            raiser_node=node, target=old.target,
                            synchronous=False, user_data=old.user_data,
                            raised_at=self.cluster.sim.now)
-        self.supervisor.counters["requeued"] += 1
-        self.cluster.tracer.emit("supervise", "requeue", event=old.event,
-                                 node=node, dl_id=dead.dl_id)
         self._route(node, fresh, self._normalize_target(old.target))
         return fresh
 
@@ -1126,13 +895,13 @@ class EventManager:
         kernel = self.cluster.kernels[node]
         if action == defaults.OBJ_DESTROY:
             kernel.objects.destroy(obj.oid)
-            self._complete_sync(block, None, None, from_node=node)
+            self.complete_sync(block, None, None, from_node=node)
         elif action == defaults.OBJ_IGNORE:
-            self._complete_sync(block, None, None, from_node=node)
+            self.complete_sync(block, None, None, from_node=node)
         else:
             self.cluster.tracer.emit("event", "object-reject",
                                      event=block.event, oid=obj.oid)
-            self._complete_sync(block, None, NoHandlerError(
+            self.complete_sync(block, None, NoHandlerError(
                 f"object {obj.oid} has no handler for {block.event}"),
                 from_node=node)
 
@@ -1140,12 +909,12 @@ class EventManager:
     # synchronous-raise completion (the resume path)
     # ==================================================================
 
-    def _complete_sync(self, block: EventBlock, value: Any,
-                       error: BaseException | None, from_node: int) -> None:
-        # Every conclusion path funnels through here (executed, noticed,
-        # quarantined, give-up), so the admission charge comes back here
-        # for synchronous and asynchronous posts alike.
-        self._release_admission(block)
+    def complete_sync(self, block: EventBlock, value: Any,
+                      error: BaseException | None, from_node: int) -> None:
+        """Conclude a post: every path (executed, noticed, quarantined,
+        give-up) funnels through here, so its admission charge comes back
+        here; a synchronous raiser gets ``(value, error)``."""
+        self.admission.release(block)
         if not block.synchronous:
             if error is not None:
                 self.cluster.tracer.emit("event", "async-error",
@@ -1167,10 +936,6 @@ class EventManager:
                 token, None, UndeliverableError(
                     f"resume for {block.event} undeliverable to "
                     f"node {record['node']}")))
-
-    def _on_resume(self, message: Message) -> None:
-        body = message.payload
-        self._arrive_resume(body["token"], body["value"], body["error"])
 
     def _arrive_resume(self, token: int, value: Any,
                        error: BaseException | None) -> None:
@@ -1211,7 +976,7 @@ class EventManager:
         # from the raise's delivery node when known.
         from_node = (block.snapshot.node if block.snapshot is not None
                      else block.raiser_node or 0)
-        self._complete_sync(block, value, None, from_node=from_node)
+        self.complete_sync(block, value, None, from_node=from_node)
         # Mark so chain completion does not double-resume.
         block.synchronous = False
 

@@ -1,20 +1,22 @@
 """Handler supervision: watchdogs, circuit breakers, dead letters.
 
-PRs 2-4 made the *transport* crash-tolerant; this module makes *handler
-execution* crash-tolerant. The delivery engine consults one
+The transport layers make message delivery crash-tolerant; this module
+makes *handler execution* crash-tolerant. The delivery engine and the
+object managers hand every supervision step to one
 :class:`HandlerSupervisor` (cluster-wide, owned by the
-:class:`~repro.events.delivery.EventManager`) for three policies:
+:class:`~repro.events.delivery.EventManager`), the only place its
+counters change, for three policies:
 
-* **watchdog deadlines** — every supervised surrogate run gets a
-  deadline (``handler_deadline``, overridable per registration); on
-  expiry the surrogate is cancelled, the chain falls through, and a
-  ``HANDLER_TIMEOUT`` system event is raised on the owning thread.
+* **watchdog deadlines** — every supervised surrogate or object-handler
+  run gets a deadline (``handler_deadline``, overridable per
+  registration); on expiry a surrogate is cancelled, the chain falls
+  through, and a ``HANDLER_TIMEOUT`` event is raised on the owning thread.
 * **retry + circuit breaking for buddy handlers** — invocations that
   fail with crash/give-up errors retry with exponential backoff
   (``handler_retries`` / ``handler_backoff``); a per-(buddy-oid, event)
   :class:`CircuitBreaker` opens after ``breaker_threshold`` consecutive
   failures and skips the registration (chain fall-through) until a
-  half-open probe succeeds.
+  half-open probe succeeds. A buddy on a suspected node fails fast.
 * **dead-letter quarantine** — a block whose *entire* chain fails
   ``poison_threshold`` times moves to the node's
   :class:`DeadLetterQueue` (journaled when ``durable_delivery`` is on)
@@ -28,12 +30,31 @@ state, no extra simulator events — same-seed runs stay bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
+
+from repro.errors import (
+    BuddyUnavailableError,
+    EventQuarantinedError,
+    HandlerTimeout,
+    NodeCrashedError,
+    RpcTimeout,
+    UndeliverableError,
+)
+from repro.events import names
+from repro.events.block import EventBlock
+from repro.events.handlers import Decision, HandlerRegistration
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.events.block import EventBlock
-    from repro.events.handlers import HandlerRegistration
     from repro.kernel.node import Kernel
+    from repro.sim.primitives import SimFuture
+    from repro.sim.scheduler import Handle
+    from repro.threads.thread import DThread
+
+#: buddy-invocation failures worth retrying / feeding the breaker: the
+#: handler object's node crashed, the reliable send gave up, an RPC leg
+#: timed out, or the failure detector failed the call fast
+RETRYABLE_INVOKE_ERRORS = (NodeCrashedError, UndeliverableError, RpcTimeout,
+                           BuddyUnavailableError)
 
 # -- circuit breaker ---------------------------------------------------------
 
@@ -95,7 +116,8 @@ class CircuitBreaker:
 # -- supervisor --------------------------------------------------------------
 
 class HandlerSupervisor:
-    """Cluster-wide supervision policy, consulted by the delivery engine."""
+    """Cluster-wide supervision policy for the delivery engine and the
+    object managers (only this module changes its counters)."""
 
     COUNTERS = ("handler_timeouts", "handler_retries", "breaker_opens",
                 "breaker_half_opens", "breaker_closes", "breaker_skips",
@@ -120,6 +142,41 @@ class HandlerSupervisor:
             return registration.deadline
         return self.config.handler_deadline
 
+    def watch(self, deadline: float, runner: "DThread",
+              future: "SimFuture[Any]", what: str,
+              on_expire: Callable[[HandlerTimeout], None],
+              **fields: Any) -> "Handle":
+        """Arm the watchdog over one handler run on ``runner``: unless
+        ``future`` settles or ``runner`` dies first, count and trace (with
+        ``fields``) the timeout and hand the caller's ``on_expire`` a
+        HandlerTimeout naming ``what``. Returns the timer handle."""
+        def expire() -> None:
+            if future.done or not runner.alive:
+                return
+            self.counters["handler_timeouts"] += 1
+            self.cluster.tracer.emit("supervise", "handler-timeout",
+                                     **fields, deadline=deadline)
+            on_expire(HandlerTimeout(f"{what} exceeded {deadline}s"))
+
+        return self.cluster.sim.call_after(deadline, expire)
+
+    def raise_handler_timeout(self, thread: "DThread", block: EventBlock,
+                              deadline: float) -> None:
+        """Raise the HANDLER_TIMEOUT system event on the owning thread
+        (only when it subscribed — mirrors the TARGET_DEAD gating, so
+        unsupervised runs see zero extra notices)."""
+        if not thread.alive or block.event == names.HANDLER_TIMEOUT:
+            return
+        if not thread.attributes.handlers_for(names.HANDLER_TIMEOUT):
+            return
+        node = thread.current_node
+        notice = EventBlock(event=names.HANDLER_TIMEOUT, raiser_tid=None,
+                            raiser_node=node, target=thread.tid,
+                            user_data={"event": block.event,
+                                       "deadline": deadline},
+                            raised_at=self.cluster.sim.now)
+        self.cluster.events.enqueue_for_thread(node, thread.tid, notice)
+
     # -- circuit breaker ----------------------------------------------
 
     def breaker_for(self, oid: int, event: str) -> CircuitBreaker | None:
@@ -136,62 +193,132 @@ class HandlerSupervisor:
         breaker = self._breakers.get((oid, event))
         return breaker.state if breaker is not None else CLOSED
 
-    def breaker_allows(self, tracer, oid: int, event: str,
-                       now: float) -> bool:
+    def breaker_allows(self, oid: int, event: str) -> bool:
         """Admission check; emits skip / half-open traces."""
         breaker = self.breaker_for(oid, event)
         if breaker is None:
             return True
-        admitted, probe = breaker.allow(now)
+        admitted, probe = breaker.allow(self.cluster.sim.now)
         if probe:
             self.counters["breaker_half_opens"] += 1
-            tracer.emit("supervise", "breaker-half-open", oid=oid,
-                        event=event)
+            self.cluster.tracer.emit("supervise", "breaker-half-open",
+                                     oid=oid, event=event)
         if not admitted:
             self.counters["breaker_skips"] += 1
-            tracer.emit("supervise", "breaker-skip", oid=oid, event=event)
+            self.cluster.tracer.emit("supervise", "breaker-skip", oid=oid,
+                                     event=event)
         return admitted
 
-    def invoke_succeeded(self, tracer, oid: int, event: str) -> None:
+    def fast_fail(self, node: int, home: int, oid: int,
+                  event: str) -> BuddyUnavailableError | None:
+        """The error to fail a buddy invocation with at once when its
+        ``home`` is suspected from ``node``, else None (fail fast instead
+        of waiting out the reliable channel's give-up)."""
+        kernel = self.cluster.kernels.get(node)
+        if (kernel is None or home == node
+                or not kernel.failure.is_suspected(home)):
+            return None
+        self.counters["fast_fails"] += 1
+        self.cluster.tracer.emit("supervise", "fast-fail", oid=oid,
+                                 event=event, home=home)
+        return BuddyUnavailableError(f"node {home} is suspected")
+
+    def invoke_succeeded(self, oid: int, event: str) -> None:
         breaker = self._breakers.get((oid, event))
         if breaker is not None and breaker.record_success():
             self.counters["breaker_closes"] += 1
-            tracer.emit("supervise", "breaker-close", oid=oid, event=event)
+            self.cluster.tracer.emit("supervise", "breaker-close", oid=oid,
+                                     event=event)
 
-    def invoke_failed(self, tracer, oid: int, event: str,
-                      now: float) -> None:
+    def invoke_failed(self, oid: int, event: str, attempt: int,
+                      error: BaseException, done: Callable[..., None],
+                      retry: Callable[..., None], *args: Any) -> None:
+        """A buddy invocation failed with a retryable error: feed the
+        breaker, then schedule ``retry(*args, attempt + 1)`` with backoff
+        while ``handler_retries`` allow, else ``done(PROPAGATE)``."""
+        tracer = self.cluster.tracer
         breaker = self.breaker_for(oid, event)
-        if breaker is not None and breaker.record_failure(now):
+        if breaker is not None and breaker.record_failure(
+                self.cluster.sim.now):
             self.counters["breaker_opens"] += 1
             tracer.emit("supervise", "breaker-open", oid=oid, event=event,
                         failures=breaker.failures)
+        if attempt < self.config.handler_retries:
+            self.counters["handler_retries"] += 1
+            tracer.emit("supervise", "handler-retry", oid=oid, event=event,
+                        attempt=attempt + 1, error=repr(error))
+            delay = self.config.handler_backoff * (2 ** attempt)
+            self.cluster.sim.call_after(delay, retry, *args, attempt + 1)
+            return
+        done(Decision.PROPAGATE, None, error)
 
     # -- poison / dead-letter policy ----------------------------------
 
-    def chain_failed(self, block: "EventBlock") -> tuple[str | None, int]:
-        """An entire chain run failed; what now?
+    def chain_failed(self, node: int, block: EventBlock,
+                     error: BaseException | None,
+                     describe: Callable[[int], str],
+                     retry: Callable[..., None], *args: Any,
+                     **where: Any) -> str | None:
+        """Every handler for ``block`` failed: schedule ``retry(*args)``
+        with exponential backoff or, at ``poison_threshold``, quarantine
+        the block: dead-letter it on ``node`` (the delivering node, or
+        the object's home) and fail its synchronous raiser.
 
-        Returns ``(None, 0)`` when the poison policy is off,
-        ``("retry", n)`` while the block is below ``poison_threshold``
-        total chain failures, and ``("quarantine", n)`` when it hit the
-        threshold (the tally is dropped — the block leaves delivery).
+        Returns the action taken, or None when the poison policy is off
+        (the caller concludes as it would without supervision).
+        ``describe(failures)`` words the raiser's quarantine error;
+        ``where`` names the handler's owner (tid or oid) in the trace.
         """
         threshold = self.config.poison_threshold
         if threshold is None:
-            return None, 0
+            return None
         key = block.durable_id or block.block_id
         count = self._chain_failures.get(key, 0) + 1
-        if count >= threshold:
-            self._chain_failures.pop(key, None)
-            return "quarantine", count
-        self._chain_failures[key] = count
-        return "retry", count
+        kernel = self.cluster.kernels[node]
+        if count < threshold:
+            self._chain_failures[key] = count
+            self.counters["chain_retries"] += 1
+            self.cluster.tracer.emit("supervise", "chain-retry",
+                                     event=block.event, attempt=count,
+                                     **where)
+            if block.durable_id is not None:
+                # Retract an object run's applied marker (thread posts
+                # carry none): if the node dies during the backoff, the
+                # origin's redelivery must re-run the handler, not be
+                # suppressed.
+                kernel.store.unmark_applied(block.durable_id)
+            delay = self.config.handler_backoff * (2 ** (count - 1))
+            self.cluster.sim.call_after(delay, retry, *args)
+            return "retry"
+        self._chain_failures.pop(key, None)  # the block leaves delivery
+        self.counters["quarantined"] += 1
+        kernel.dead_letters.add(block, "poison", error=error, failures=count)
+        if block.durable_id is not None:
+            # Resolve the origin's outbox as quarantined (not delivered)
+            # and strip the id so no later conclusion re-acks it.
+            kernel.store.post_quarantined(block.durable_id)
+            block.durable_id = None
+        self.cluster.events.complete_sync(block, None, EventQuarantinedError(
+            describe(count)), from_node=node)
+        block.synchronous = False  # the raiser has been resumed
+        return "quarantine"
 
     def clear_failures(self, block: "EventBlock") -> None:
         """A chain run succeeded: forget the block's failure tally."""
         if self._chain_failures:
             self._chain_failures.pop(block.durable_id or block.block_id,
                                      None)
+
+    def dead_letter_undeliverable(self, node: int, block: EventBlock,
+                                  error: str) -> None:
+        """Dead-letter a post that failed with a notice on ``node`` (the
+        raiser's), memory-only: this path exists in knobs-off configs too
+        and must not perturb durable runs' journal accounting."""
+        kernel = self.cluster.kernels.get(node)
+        if kernel is not None:
+            self.counters["dead_letter_undeliverable"] += 1
+            kernel.dead_letters.add(block, "undeliverable", error=error,
+                                    journal=False)
 
     def stats(self) -> dict[str, int]:
         open_breakers = sum(1 for b in self._breakers.values()
@@ -268,6 +395,10 @@ class DeadLetterQueue:
         self.requeued += 1
         if self.kernel.store.enabled:
             self.kernel.store.journal_dead_requeue(dl_id)
+        self.kernel.cluster.events.supervisor.counters["requeued"] += 1
+        self.kernel.tracer.emit("supervise", "requeue",
+                                event=dead.block.event,
+                                node=self.kernel.node_id, dl_id=dl_id)
         return dead
 
     def get(self, dl_id: int) -> DeadLetter | None:

@@ -225,9 +225,8 @@ class Cluster:
         self._sum_node_stats(lambda k: k.failure.stats(), totals)
         self._sum_node_stats(lambda k: k.dead_letters.stats(), totals,
                              prefix="dead_letters_")
-        for key, value in self.events.admission_stats().items():
-            totals[f"admission_{key}"] = totals.get(
-                f"admission_{key}", 0) + value
+        for key, value in self.events.admission.stats().items():
+            totals[f"admission_{key}"] = value
         return totals
 
     def scheduler_stats(self) -> dict[str, Any]:

@@ -265,7 +265,15 @@ class ObjectManager:
         self.kernel.tracer.emit("event", "object-handler", oid=obj.oid,
                                 event=block.event, node=self.node_id)
         self.serving += 1
-        watchdog = self._arm_watchdog(ctx._thread, obj, block, done)
+        watchdog = None
+        deadline = self.kernel.config.handler_deadline
+        if deadline is not None:
+            thread = ctx._thread
+            watchdog = self.kernel.events.supervisor.watch(
+                deadline, thread, done,
+                f"object handler for {block.event} on oid {obj.oid}",
+                lambda error: self._timed_out(thread, done, error),
+                event=block.event, oid=obj.oid, node=self.node_id)
         try:
             result = yield from fn(ctx, block)
         except BaseException as exc:  # noqa: BLE001 - handler crash is data
@@ -281,41 +289,18 @@ class ObjectManager:
         activation.obj = None
         activation.event_block = previous_block
 
-    def _arm_watchdog(self, thread: DThread, obj: DistObject,
-                      block: EventBlock, done: SimFuture[Any]):
-        """Watchdog over one object-handler run (``handler_deadline``).
-
-        A hung handler would otherwise wedge the node's master handler
-        thread, starving every later post to objects homed here. On
-        expiry the executing thread is destroyed, ``done`` fails with
-        :class:`~repro.errors.HandlerTimeout`, and a fresh master is
-        spawned if work is waiting. Returns the timer handle (None when
-        the knob is off — no timer, no extra simulator event).
-        """
-        deadline = self.kernel.config.handler_deadline
-        if deadline is None:
-            return None
-
-        def expire() -> None:
-            if done.done or not thread.alive:
-                return
-            supervisor = self.kernel.events.supervisor
-            supervisor.counters["handler_timeouts"] += 1
-            self.kernel.tracer.emit("supervise", "handler-timeout",
-                                    event=block.event, oid=obj.oid,
-                                    node=self.node_id, deadline=deadline)
-            error = HandlerTimeout(
-                f"object handler for {block.event} on oid {obj.oid} "
-                f"exceeded {deadline}s")
-            # Fail the delivery future first: the destroy below unwinds
-            # the generator, whose error path must see done as settled.
-            done.fail(error)
-            self.kernel.invoker.destroy_thread_abrupt(thread, error)
-            if self._master is thread:
-                # The master died with the hung handler; respawn it if
-                # posts are waiting (otherwise first use re-creates it).
-                self._master = None
-                if len(self._queue):
-                    self._ensure_master()
-
-        return self.kernel.sim.call_after(deadline, expire)
+    def _timed_out(self, thread: DThread, done: SimFuture[Any],
+                   error: HandlerTimeout) -> None:
+        """Watchdog expiry of one object-handler run: a hung handler would
+        otherwise wedge the node's master thread, starving every later
+        post to objects homed here."""
+        # Fail the delivery future first: the destroy below unwinds the
+        # generator, whose error path must see done as settled.
+        done.fail(error)
+        self.kernel.invoker.destroy_thread_abrupt(thread, error)
+        if self._master is thread:
+            # The master died with the hung handler; respawn it if posts
+            # are waiting (otherwise first use re-creates it).
+            self._master = None
+            if len(self._queue):
+                self._ensure_master()

@@ -74,9 +74,11 @@ class Handle:
         retransmit timer's cancelled entry used to keep its whole message
         alive until its virtual deadline drained past).
 
-        The wheel backend recycles entry lists once they fire; the
-        sequence-number guard makes a stale handle's ``cancel`` a no-op
-        instead of cancelling whatever callback now occupies the slot.
+        Both backends clear an entry's callback slot when it fires, so a
+        cancel after the callback ran is a no-op. The wheel also recycles
+        entry lists; the sequence-number guard makes a stale handle's
+        ``cancel`` a no-op instead of cancelling whatever callback now
+        occupies the slot.
         """
         entry = self._entry
         if entry[1] != self.seq or entry[3] is None:
@@ -220,10 +222,12 @@ class Simulator:
     def step(self) -> bool:
         """Run the single next callback. Returns False when queue is empty."""
         while self._queue:
-            when, _seq, args, fn = heapq.heappop(self._queue)
+            entry = heapq.heappop(self._queue)
+            when, _seq, args, fn = entry
             if fn is None:
                 self._cancelled -= 1
                 continue
+            entry[3] = None  # fired: a late Handle.cancel() is a no-op
             self._now = when
             self._events_processed += 1
             fn(*args)

@@ -143,13 +143,19 @@ PINNED_DIGESTS = [
     (ChaosSpec(**{**_OVERLOAD_DROP, "durable": True,
                   "overload_policy": "defer"}),
      "de357bfabdf492a1278bc585bda32b48eca4481ad42024896c270564b5ec94bd"),
+    # object-handler watchdog: hung object handlers time out (5 at this
+    # seed) before the supervisor became the watchdog's one owner
+    (ChaosSpec(seed=11, posts=40, durable=True,
+               handler_faults={"hang": 0.1, "raise": 0.1},
+               handler_deadline=0.2, poison_threshold=3),
+     "120545a042c14eee37be5d4af159452e4adc2b695a0464b126bd78af1fce4346"),
 ]
 
 
 @pytest.mark.parametrize(
     "spec,digest", PINNED_DIGESTS,
     ids=["broadcast", "multicast", "thread-poison", "object-poison",
-         "shed-drop", "shed-defer"])
+         "shed-drop", "shed-defer", "object-watchdog"])
 def test_pinned_digest(spec, digest):
     assert run_chaos(spec).digest == digest
 

@@ -99,6 +99,32 @@ class TestEventsUnderFaults:
         assert cluster.now < 5.0
         assert cluster.scheduler_stats()["cancellations"] == 1
 
+    def test_post_deadline_backstop_cancelled_once_routed(self):
+        """The post_deadline backstop dies once the locator reports: a
+        routed thread post must not keep the clock running to it."""
+        cluster = make_faulty_cluster(n_nodes=2, post_deadline=5.0)
+        handled = []
+
+        class Target(DistObject):
+            @entry
+            def work(self, ctx):
+                def on_poke(hctx, block):
+                    handled.append(hctx.now)
+                    yield hctx.compute(0)
+                    return Decision.RESUME
+
+                yield ctx.attach_handler("INTERRUPT", on_poke)
+                yield ctx.sleep(0.02)
+
+        target = cluster.create_object(Target, node=1)
+        thread = cluster.spawn(target, "work", at=1)
+        cluster.run(until=0.001)
+        cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
+        cluster.run()
+        assert len(handled) == 1
+        assert cluster.now < 5.0
+        assert cluster.scheduler_stats()["cancellations"] == 1
+
     def test_async_raise_after_heal_succeeds(self):
         plan = FaultPlan()
         cluster = make_faulty_cluster(plan, n_nodes=3)

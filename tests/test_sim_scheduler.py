@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, WheelSimulator
 
 
 def test_starts_at_zero():
@@ -88,6 +88,18 @@ def test_cancel_is_idempotent():
     handle.cancel()
     handle.cancel()
     sim.run()
+
+
+@pytest.mark.parametrize("backend", [Simulator, WheelSimulator])
+def test_cancel_after_fire_is_a_noop(backend):
+    sim = backend()
+    fired = []
+    handle = sim.call_after(1.0, fired.append, "x")
+    sim.run()
+    handle.cancel()
+    assert fired == ["x"]
+    assert sim.pending == 0
+    assert sim.stats()["cancellations"] == 0
 
 
 def test_pending_excludes_cancelled():

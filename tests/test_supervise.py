@@ -183,6 +183,33 @@ class TestWatchdog:
         assert thread.delivering_block is not None  # still mid-delivery
         assert cluster.supervision_stats()["handler_timeouts"] == 0
 
+    def test_surrogate_watchdog_cancelled_once_handler_finishes(self):
+        """The watchdog dies with the handler run it guards: a quickly
+        answered post must not keep the clock running to the deadline."""
+        handled = []
+
+        class App(DistObject):
+            @entry
+            def work(self, ctx):
+                def on_evt(hctx, block):
+                    handled.append(hctx.now)
+                    yield hctx.compute(0)
+                    return Decision.RESUME
+
+                yield ctx.attach_handler("EVT", on_evt)
+                yield ctx.sleep(0.02)
+
+        cluster = _rig(n_nodes=2, handler_deadline=5.0)
+        app = cluster.create_object(App, node=1)
+        thread = cluster.spawn(app, "work", at=1)
+        cluster.run(until=0.001)
+        cluster.raise_event("EVT", thread.tid, from_node=0)
+        cluster.run()
+        assert len(handled) == 1
+        assert cluster.now < 5.0
+        assert cluster.supervision_stats()["handler_timeouts"] == 0
+        assert cluster.scheduler_stats()["cancellations"] == 1
+
     def test_object_handler_watchdog_unwedges_the_master(self):
         hits = []
 

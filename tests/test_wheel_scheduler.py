@@ -2,11 +2,9 @@
 
 The wheel (:class:`repro.sim.WheelSimulator`) must be observationally
 identical to the heap reference for everything the kernel can see —
-execution order, clock advance, cancellation semantics — with the only
-allowed divergences documented (``Handle.cancelled`` may read True after
-an entry has *fired* on the wheel, because fired entries are recycled
-through the slab pool). The differential tests run full chaos and
-fastpath scenarios on both backends and require bit-identical results.
+execution order, clock advance, cancellation semantics. The differential
+tests run full chaos and fastpath scenarios on both backends and require
+bit-identical results.
 """
 
 import random
